@@ -23,8 +23,10 @@ import (
 )
 
 // setupReps is how many times a run builds the system under test; setup_s
-// is the median, and the last build serves the measured operations.
-const setupReps = 15
+// is the median, and the last build serves the measured operations. Single
+// builds scatter widely (sweep-cold's takes microseconds), so the median
+// needs many of them to repeat from run to run.
+const setupReps = 101
 
 // workload is one named traffic mix. Every input is a pure function of the
 // workload seed and the operation index, so client interleaving never
