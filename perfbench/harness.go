@@ -403,7 +403,7 @@ func runWorkload(ctx context.Context, w *workload, opts options, stdout, stderr 
 
 	sum := &summary{Correct: correct, Attempted: len(samples), Failed: failed}
 	if !opts.trace {
-		lat := latenciesMs(samples, func(sample) bool { return true })
+		lat := latenciesMs(samples)
 		fmt.Fprintf(stderr, "perfbench: %s: %d operations, p50 %.2f ms, p90 %.2f ms\n",
 			opts.workload, len(lat), quantile(lat, 0.5), quantile(lat, 0.9))
 		sum.Metrics = endToEnd(setupS, lat, wall, cpu, rss)

@@ -38,12 +38,10 @@ func quantile(xs []float64, q float64) float64 {
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
 
-func latenciesMs(samples []sample, keep func(sample) bool) []float64 {
-	var out []float64
-	for _, s := range samples {
-		if keep(s) {
-			out = append(out, float64(s.latency)/float64(time.Millisecond))
-		}
+func latenciesMs(samples []sample) []float64 {
+	out := make([]float64, len(samples))
+	for i, s := range samples {
+		out[i] = float64(s.latency) / float64(time.Millisecond)
 	}
 	return out
 }

@@ -308,7 +308,6 @@ func (t *tracer) layerMetrics(samples []sample, before, after map[string]float64
 	out["dispatch.overhead_ms"] = metric{overhead, "ms"}
 	out["dispatch.requeues"] = metric{d("cdlab_dispatch_requeues_total"), "count"}
 	out["dispatch.worker_tasks"] = metric{d("cdlab_worker_tasks_total"), "count"}
-
 	return out
 }
 
