@@ -26,7 +26,9 @@ func TestEveryExperimentHasPlan(t *testing.T) {
 // regression: for every registered experiment, the serial reference path
 // (workers=1) and a 4-worker parallel run must render byte-identical
 // output. The formerly-serial experiments (fig21–fig23, sec61, ttf, the
-// ablations) are covered by the registry sweep like everything else.
+// ablations) are covered by the registry sweep like everything else. The
+// serial render doubles as the golden-digest check (golden_test.go), which
+// pins absolute output across revisions at no extra sweep.
 func TestSerialParallelBitIdentical(t *testing.T) {
 	cfg := Small()
 	for _, e := range All() {
@@ -43,6 +45,7 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 			if s, p := serial.String(), parallel.String(); s != p {
 				t.Fatalf("serial and -j 4 output differ for %s:\n--- serial ---\n%s\n--- parallel ---\n%s", e.ID, s, p)
 			}
+			checkGolden(t, e.ID, serial.String())
 		})
 	}
 }

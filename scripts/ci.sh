@@ -24,6 +24,12 @@ fi
 echo "== go test -race =="
 go test -race "$@" ./...
 
+echo "== portability: golden report digests on GOARCH=386 =="
+# Mixed-architecture worker fleets must render the same bytes: the 32-bit
+# build runs the serial sweep against the same pinned digests as amd64.
+# (arm64 is unverified: Go may fuse multiply-add there.)
+GOARCH=386 go test -count=1 -run 'TestSerialParallelBitIdentical|TestGoldenCoversRegistry' ./internal/experiments
+
 echo "== bitset: focused vet + race (hot-loop membership sets) =="
 # The dense bitsets back every per-readout-bit membership probe in the
 # characterization pipeline and are shared read-only across shard
