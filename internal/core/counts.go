@@ -16,24 +16,24 @@ type SubarrayConfig struct {
 
 // SubarrayCounts is the sampled outcome of a subarray experiment.
 type SubarrayCounts struct {
-	PerRow   []int
+	Rows     int // rows sampled
 	Total    int
 	RowsWith int // blast radius: rows with ≥1 bitflip
 }
 
 // FractionOfCells returns the flipped fraction over the tested cells.
 func (s SubarrayCounts) FractionOfCells(cols int) float64 {
-	if len(s.PerRow) == 0 {
+	if s.Rows == 0 {
 		return 0
 	}
-	return float64(s.Total) / (float64(len(s.PerRow)) * float64(cols))
+	return float64(s.Total) / (float64(s.Rows) * float64(cols))
 }
 
 // SampleCounts draws per-row bitflip counts for the experiment: each row
 // gets shared z-scores for the row-correlated variance components, then
 // each column class contributes a binomial draw of its conditional flip
-// probability. The per-row structure is what blast radius, weak-row and
-// ECC-chunk statistics are built from.
+// probability. Only the totals are kept: the flip count (Total) and the
+// blast radius (RowsWith, the rows with at least one flip).
 func SampleCounts(cfg SubarrayConfig, r *rng.Rand) SubarrayCounts {
 	return NewCountsSampler(cfg).Sample(r)
 }
@@ -64,7 +64,7 @@ func NewCountsSampler(cfg SubarrayConfig) *CountsSampler {
 
 // Sample draws one outcome; RNG consumption is identical to SampleCounts.
 func (s *CountsSampler) Sample(r *rng.Rand) SubarrayCounts {
-	out := SubarrayCounts{PerRow: make([]int, s.rows)}
+	out := SubarrayCounts{Rows: s.rows}
 	if s.threshold == 0 {
 		return out
 	}
@@ -76,7 +76,6 @@ func (s *CountsSampler) Sample(r *rng.Rand) SubarrayCounts {
 			p := ce.eval.survivalRow(s.threshold, ce.eval.muB+ce.dMuB*zB, ce.eval.muK+ce.dMuK*zK)
 			flips += r.Binomial(ce.cells, p)
 		}
-		out.PerRow[row] = flips
 		out.Total += flips
 		if flips > 0 {
 			out.RowsWith++

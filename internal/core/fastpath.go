@@ -21,15 +21,28 @@ import (
 //   - the VRT-weak mixture scales the same nodes by VRTFactor instead of
 //     re-exponentiating a shifted muB;
 //   - PhiC tail cutoffs: the quadrature argument is strictly decreasing in
-//     the node index, so once it falls below phiCOne the remaining nodes all
+//     the node index, so once it falls below cutLo the remaining nodes all
 //     contribute their full weight (suffix sums, precomputed), and arguments
-//     above phiCZero contribute nothing. PhiC(phiCOne) rounds to exactly 1.0
-//     in float64 and PhiC(phiCZero) < 1e-17, so the cutoffs change results
-//     by less than the quadrature's own truncation error.
+//     above cutHi contribute nothing;
+//   - the upper-tail skip: a node's argument (ln(x − b_j) − muK)/SigmaK is at
+//     or above cutHi exactly when x − b_j exceeds e^(muK + cutHi·SigmaK), so
+//     nodes beyond that distance (padded by a 1e-9 relative margin, see
+//     skipAbove) are dropped without taking their log. In the sweeps two
+//     thirds of all nodes land there. The skip only pre-empts the cutHi
+//     test, never replaces it: the same terms are summed in the same order,
+//     so results are bit-identical to evaluating every node's log.
 //
-// Results agree with the pre-fastpath evaluation to ~1e-15 relative (the
-// factored exponentials differ in the last ulp); TestSurvivalEvalMatches
-// pins the agreement.
+// Two accuracy modes share the loop. Strict mode (quantile inversion, the
+// TTF bisections) uses rng.PhiC with cutoffs phiCZero/phiCOne, where
+// PhiC(phiCOne) rounds to exactly 1.0 in float64 and PhiC(phiCZero) < 1e-17,
+// so it agrees with the literal quadrature to ~1e-15 relative (the factored
+// exponentials differ in the last ulp). Loose mode (binomial flip
+// probabilities) trades that for speed: fastPhiC, accurate to 7.5e-8
+// absolute, and the ±5.7 cutoffs, which drop or saturate terms below
+// PhiC(5.7) ≈ 6e-9. Its flip probabilities therefore agree with the literal
+// quadrature only to ~1e-7 absolute — far below the binomial sampling
+// noise, but not bit-for-bit. TestSurvivalEvalMatches and
+// TestLooseSurvivalAbsoluteError pin the two bounds.
 
 const (
 	invSqrtPi = 0.5641895835477563
@@ -60,7 +73,8 @@ type survivalEval struct {
 	suffixW              [8]float64 // Σ_{i≥j} ghWeights[i]
 	vrtProb, vrtFactor   float64
 	lnVRT                float64
-	cutHi, cutLo         float64 // PhiC tail cutoffs (strict by default)
+	cutHi, cutLo         float64 // PhiC tail cutoffs
+	dSkip                float64 // skipAbove(muK): hoisted for the unshifted model
 	loose                bool    // absolute-accuracy mode: fastPhiC + loose cutoffs
 }
 
@@ -83,13 +97,19 @@ func fastPhiC(z float64) float64 {
 	return p
 }
 
-func newSurvivalEval(m RateModel) survivalEval {
+// newSurvivalEval prepares m in strict mode, or in loose mode for callers
+// that only need absolute accuracy (see the file comment).
+func newSurvivalEval(m RateModel, loose bool) survivalEval {
 	e := survivalEval{
 		kDisabled: m.KDisabled,
 		muB:       m.MuB, muK: m.MuK,
 		sigmaB: m.SigmaB, sigmaK: m.SigmaK,
 		vrtProb: m.VRTProb, vrtFactor: m.VRTFactor,
 		cutHi: phiCZero, cutLo: phiCOne,
+		loose: loose,
+	}
+	if loose {
+		e.cutHi, e.cutLo = phiCZeroLoose, phiCOneLoose
 	}
 	if m.SigmaB != 0 {
 		e.invSigmaB = 1 / m.SigmaB
@@ -109,7 +129,25 @@ func newSurvivalEval(m RateModel) survivalEval {
 	if e.vrtProb > 0 && e.vrtFactor != 1 {
 		e.lnVRT = math.Log(e.vrtFactor)
 	}
+	e.dSkip = e.skipAbove(m.MuK)
 	return e
+}
+
+// skipAbove returns the coupling distance d = x − b beyond which a node's
+// quadrature argument (ln d − muK)/SigmaK is provably ≥ cutHi, so the node
+// can be skipped without taking its log. The exact threshold is
+// e^(muK + cutHi·SigmaK); the 1e-9 relative margin on it exceeds the
+// rounding of both sides by four orders of magnitude (a few ulps of ln d,
+// of the exponent and of the exp — ~1e-13 absolute in log space at the
+// guard's limits), so a node that the exact test would keep is never
+// skipped. Outside the guard (non-positive SigmaK, |muK| or cutHi·SigmaK
+// beyond 700, where that bound or exp's normal range fails) nothing is
+// skipped.
+func (e *survivalEval) skipAbove(muK float64) float64 {
+	if !(e.invSigmaK > 0 && math.Abs(muK) < 700 && e.cutHi*e.sigmaK < 700) {
+		return math.Inf(1)
+	}
+	return math.Exp(muK+e.cutHi*e.sigmaK) * (1 + 1e-9)
 }
 
 // survival evaluates P(r > x) for the prepared model (no row shifts).
@@ -124,23 +162,26 @@ func (e *survivalEval) survivalRow(x, muB, muK float64) float64 {
 	if x <= 0 {
 		return 1
 	}
-	var eb float64
-	if muB == e.muB {
-		eb = e.ebBase
-	} else {
+	eb, dSkip := e.ebBase, e.dSkip
+	if muB != e.muB {
 		eb = math.Exp(muB)
 	}
-	if e.vrtProb <= 0 || e.vrtFactor == 1 {
-		return e.survivalOne(x, eb, muB, muK)
+	if muK != e.muK {
+		dSkip = e.skipAbove(muK)
 	}
-	normal := e.survivalOne(x, eb, muB, muK)
-	weak := e.survivalOne(x, eb*e.vrtFactor, muB+e.lnVRT, muK)
+	if e.vrtProb <= 0 || e.vrtFactor == 1 {
+		return e.survivalOne(x, eb, muB, muK, dSkip)
+	}
+	// Both components share muK, hence the skip threshold.
+	normal := e.survivalOne(x, eb, muB, muK, dSkip)
+	weak := e.survivalOne(x, eb*e.vrtFactor, muB+e.lnVRT, muK, dSkip)
 	return clamp01((1-e.vrtProb)*normal + e.vrtProb*weak)
 }
 
 // survivalOne evaluates one mixture component: eb = exp(muB) is passed so
-// the VRT branch can scale rather than re-exponentiate.
-func (e *survivalEval) survivalOne(x, eb, muB, muK float64) float64 {
+// the VRT branch can scale rather than re-exponentiate, and dSkip =
+// skipAbove(muK) so the components of one row share it.
+func (e *survivalEval) survivalOne(x, eb, muB, muK, dSkip float64) float64 {
 	if e.kDisabled {
 		return rng.PhiC((math.Log(x) - muB) * e.invSigmaB)
 	}
@@ -152,7 +193,11 @@ func (e *survivalEval) survivalOne(x, eb, muB, muK float64) float64 {
 			sum += e.suffixW[j]
 			break
 		}
-		a := (math.Log(x-b) - muK) * e.invSigmaK
+		d := x - b
+		if d > dSkip {
+			continue // provably a ≥ cutHi (skipAbove): skip the log
+		}
+		a := (math.Log(d) - muK) * e.invSigmaK
 		if a >= e.cutHi {
 			continue // upper tail: below the caller's accuracy floor
 		}
@@ -241,12 +286,9 @@ func prepareClasses(cfg SubarrayConfig) []classEval {
 		}
 		base := NewRateModel(cfg.Params, cfg.TempC, cl.Rho)
 		resid := base.WithRowEffect(cfg.Params, 0, 0)
-		eval := newSurvivalEval(resid)
-		// Flip probabilities feed binomial draws: absolute accuracy only.
-		eval.cutHi, eval.cutLo = phiCZeroLoose, phiCOneLoose
-		eval.loose = true
 		ce := classEval{
-			eval:  eval,
+			// Flip probabilities feed binomial draws: absolute accuracy only.
+			eval:  newSurvivalEval(resid, true),
 			dMuB:  base.SigmaB * math.Sqrt(cfg.Params.BaseRowVarFrac),
 			cells: cells,
 		}
@@ -281,7 +323,7 @@ func NewTTFSampler(cfg SubarrayConfig) *TTFSampler {
 		t.classes = append(t.classes, struct {
 			eval  survivalEval
 			cells int
-		}{newSurvivalEval(NewRateModel(cfg.Params, cfg.TempC, cl.Rho)), cells})
+		}{newSurvivalEval(NewRateModel(cfg.Params, cfg.TempC, cl.Rho), false), cells})
 	}
 	return t
 }

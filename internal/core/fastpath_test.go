@@ -57,7 +57,7 @@ func TestSurvivalEvalMatches(t *testing.T) {
 				if withRow {
 					eval = m.WithRowEffect(p, 1.7, -0.9)
 				}
-				e := newSurvivalEval(eval)
+				e := newSurvivalEval(eval, false)
 				for _, tMs := range []float64{1, 64, 512, 1024, 16000, 1e6} {
 					x := faultmodel.Ln2 / tMs
 					got := e.survival(x)
@@ -80,7 +80,7 @@ func TestSurvivalRowMatchesWithRowEffect(t *testing.T) {
 	p := &pv
 	base := NewRateModel(p, 65, 0.2)
 	resid := base.WithRowEffect(p, 0, 0)
-	e := newSurvivalEval(resid)
+	e := newSurvivalEval(resid, false)
 	dMuB := base.SigmaB * math.Sqrt(p.BaseRowVarFrac)
 	dMuK := base.SigmaK * math.Sqrt(p.KappaRowVarFrac)
 	r := rng.New(7)
@@ -92,6 +92,179 @@ func TestSurvivalRowMatchesWithRowEffect(t *testing.T) {
 		if diff := math.Abs(got - want); diff > 1e-12 {
 			t.Fatalf("row %d: eval %.17g ref %.17g (diff %g)", i, got, want, diff)
 		}
+	}
+}
+
+// survivalRowNoSkip is survivalRow without the upper-tail skip: every node
+// short of b ≥ x takes its log and meets the cutHi test. The skip must
+// reproduce it bit for bit.
+func survivalRowNoSkip(e *survivalEval, x, muB, muK float64) float64 {
+	if x <= 0 {
+		return 1
+	}
+	one := func(eb, muB float64) float64 {
+		if e.kDisabled {
+			return rng.PhiC((math.Log(x) - muB) * e.invSigmaB)
+		}
+		sum := 0.0
+		for j := 0; j < 8; j++ {
+			b := eb * e.eNode[j]
+			if b >= x {
+				sum += e.suffixW[j]
+				break
+			}
+			a := (math.Log(x-b) - muK) * e.invSigmaK
+			if a >= e.cutHi {
+				continue
+			}
+			if a <= e.cutLo {
+				sum += e.suffixW[j]
+				break
+			}
+			if e.loose {
+				sum += ghWeights[j] * fastPhiC(a)
+			} else {
+				sum += ghWeights[j] * rng.PhiC(a)
+			}
+		}
+		return clamp01(sum * invSqrtPi)
+	}
+	eb := math.Exp(muB)
+	if muB == e.muB {
+		eb = e.ebBase
+	}
+	if e.vrtProb <= 0 || e.vrtFactor == 1 {
+		return one(eb, muB)
+	}
+	normal := one(eb, muB)
+	weak := one(eb*e.vrtFactor, muB+e.lnVRT)
+	return clamp01((1-e.vrtProb)*normal + e.vrtProb*weak)
+}
+
+// randomRateModel draws a model across (and beyond) the calibrated ranges:
+// log-space locations in [-25, 5], sigmas in [0.05, 3], VRT on or off.
+func randomRateModel(r *rng.Rand, vrt bool) RateModel {
+	m := RateModel{
+		MuB: -25 + 30*r.Float64(), SigmaB: 0.05 + 2.95*r.Float64(),
+		MuK: -25 + 30*r.Float64(), SigmaK: 0.05 + 2.95*r.Float64(),
+	}
+	if vrt {
+		m.VRTProb, m.VRTFactor = 0.3*r.Float64(), 1.5+20*r.Float64()
+	}
+	return m
+}
+
+// TestSkipBitIdentical checks the upper-tail skip changes no bit of
+// survivalRow or survival, in both accuracy modes and with VRT on and off:
+// on random models and rates, and on rates placed so a node's coupling
+// distance x − b sits within ±1e-8 relative of the skip threshold.
+func TestSkipBitIdentical(t *testing.T) {
+	r := rng.New(11)
+	checks := 0
+	check := func(e *survivalEval, x, muB, muK float64) {
+		t.Helper()
+		checks++
+		got, want := e.survivalRow(x, muB, muK), survivalRowNoSkip(e, x, muB, muK)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("loose=%v x=%v muB=%v muK=%v: skip %v, no-skip %v", e.loose, x, muB, muK, got, want)
+		}
+		if muB == e.muB && muK == e.muK {
+			if s := e.survival(x); math.Float64bits(s) != math.Float64bits(want) {
+				t.Fatalf("loose=%v x=%v: survival %v, no-skip %v", e.loose, x, s, want)
+			}
+		}
+	}
+	for i := 0; i < 400; i++ {
+		for _, loose := range []bool{false, true} {
+			for _, vrt := range []bool{false, true} {
+				e := newSurvivalEval(randomRateModel(r, vrt), loose)
+				// Random rates, unshifted and row-shifted.
+				for k := 0; k < 20; k++ {
+					x := math.Exp(-30 + 40*r.Float64())
+					check(&e, x, e.muB, e.muK)
+					check(&e, x, e.muB+r.Norm(), e.muK+r.Norm())
+				}
+				// Adversarial rates: node j's distance pinned near dSkip.
+				for _, shifted := range []bool{false, true} {
+					muB, muK := e.muB, e.muK
+					if shifted {
+						muB, muK = muB+r.Norm(), muK+r.Norm()
+					}
+					dSkip := e.skipAbove(muK)
+					for j := 0; j < 8; j++ {
+						b := math.Exp(muB) * e.eNode[j]
+						for _, rel := range []float64{-1e-8, -1e-9, -1e-12, 0, 1e-12, 1e-9, 1e-8, 2e-8*r.Float64() - 1e-8} {
+							check(&e, b+dSkip*(1+rel), muB, muK)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d bitwise checks", checks)
+}
+
+// TestSkipThresholdBelowExactBoundary bisects the float64 boundary of the
+// exact test — the smallest d with (ln d − muK)/SigmaK ≥ cutHi as computed —
+// and checks skipAbove sits above it (nothing the exact test keeps is
+// skipped) by no more than a few times its 1e-9 margin (the skip is not
+// vacuous).
+func TestSkipThresholdBelowExactBoundary(t *testing.T) {
+	r := rng.New(5)
+	for i := 0; i < 2000; i++ {
+		e := newSurvivalEval(randomRateModel(r, false), i%2 == 0)
+		muK := e.muK + 3*r.Norm()
+		exactHi := func(d float64) bool { return (math.Log(d)-muK)*e.invSigmaK >= e.cutHi }
+		dSkip := e.skipAbove(muK)
+		lo, hi := dSkip*(1-1e-6), dSkip
+		if exactHi(lo) || !exactHi(hi) {
+			t.Fatalf("muK=%v sigmaK=%v: boundary not bracketed by [%v, %v]", muK, e.sigmaK, lo, hi)
+		}
+		// Positive float64s order like their bit patterns.
+		for l, h := math.Float64bits(lo), math.Float64bits(hi); h-l > 1; {
+			mid := l + (h-l)/2
+			if exactHi(math.Float64frombits(mid)) {
+				h = mid
+			} else {
+				l = mid
+			}
+			lo, hi = math.Float64frombits(l), math.Float64frombits(h)
+		}
+		if !(dSkip >= hi) {
+			t.Fatalf("muK=%v sigmaK=%v: dSkip %v below the exact boundary %v", muK, e.sigmaK, dSkip, hi)
+		}
+		if m := dSkip/hi - 1; m > 2e-9 {
+			t.Fatalf("muK=%v sigmaK=%v: dSkip sits %g relative above the exact boundary", muK, e.sigmaK, m)
+		}
+		for _, d := range []float64{math.Nextafter(dSkip, 0), dSkip, math.Nextafter(dSkip, math.Inf(1)), dSkip * (1 + 1e-8)} {
+			if d > dSkip && !exactHi(d) {
+				t.Fatalf("muK=%v sigmaK=%v: d=%v skipped but the exact test keeps it", muK, e.sigmaK, d)
+			}
+		}
+	}
+}
+
+// TestLooseSurvivalAbsoluteError pins loose mode's accuracy against the
+// literal quadrature: fastPhiC's 7.5e-8 plus the ±5.7 cutoffs' ≤ 6e-9 per
+// dropped or saturated term, both weighted by a normalized quadrature.
+func TestLooseSurvivalAbsoluteError(t *testing.T) {
+	pv := faultmodel.Default()
+	p := &pv
+	worst := 0.0
+	for _, tempC := range []float64{45, 65, 85, 95} {
+		for _, rho := range []float64{1e-4, 1e-2, 0.3, 1} {
+			m := NewRateModel(p, tempC, rho)
+			e := newSurvivalEval(m, true)
+			for tMs := 0.25; tMs <= 1e6; tMs *= 1.5 {
+				x := faultmodel.Ln2 / tMs
+				if d := math.Abs(e.survival(x) - refSurvival(m, x)); d > worst {
+					worst = d
+				}
+			}
+		}
+	}
+	if worst > 1e-7 {
+		t.Fatalf("loose survival worst absolute error %g exceeds 1e-7", worst)
 	}
 }
 

@@ -99,7 +99,7 @@ func (m RateModel) WithRowEffect(p *faultmodel.Params, zRowK, zRowB float64) Rat
 // times (bisections, per-row sweeps) should build a survivalEval once
 // instead — it hoists the quadrature's exponentials out of the loop.
 func (m RateModel) Survival(x float64) float64 {
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, false)
 	return e.survival(x)
 }
 
@@ -125,13 +125,13 @@ func (m RateModel) FlipProb(tMs float64) float64 {
 // solve Survival(x) = s for the order-statistic tail probability
 // s = 1 − u^(1/n). Monotone bisection in ln x.
 func (m RateModel) SampleMaxRate(n int, r *rng.Rand) float64 {
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, false)
 	return e.sampleMaxRate(n, r)
 }
 
 // quantileSurvival inverts Survival: returns x with Survival(x) = s.
 func (m RateModel) quantileSurvival(s float64) float64 {
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, false)
 	return e.quantileSurvival(s)
 }
 
@@ -148,6 +148,6 @@ func (m RateModel) ExpectedTTFms(n int) float64 {
 		panic("core: ExpectedTTFms with n < 1")
 	}
 	p := (float64(n) - 0.375) / (float64(n) + 0.25)
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, false)
 	return faultmodel.Ln2 / e.quantileSurvival(1-p)
 }

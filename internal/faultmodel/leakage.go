@@ -9,9 +9,8 @@ import "math"
 const couplingLUTSamples = 2048
 
 // couplingLUT caches f(Δ) = (e^{αΔ}−1)/(e^{α}−1) sampled uniformly over
-// Δ ∈ [0, 1] for one alpha. It is built once at Params construction and
-// never mutated, so sharing one Params across shard goroutines stays
-// race-free.
+// Δ ∈ [0, 1] for one alpha. It is never mutated after construction, so one
+// table is shared by every Params value and across shard goroutines.
 type couplingLUT struct {
 	alpha   float64
 	samples [couplingLUTSamples + 1]float64

@@ -44,6 +44,9 @@ func TestCouplingLUTAccuracy(t *testing.T) {
 	if p.coupling == nil {
 		t.Fatal("Default() must attach a sampled coupling curve")
 	}
+	if Default().coupling != p.coupling {
+		t.Fatal("Default() rebuilt the coupling curve instead of sharing it")
+	}
 	exact := func(alpha, dv float64) float64 {
 		return math.Expm1(alpha*dv) / math.Expm1(alpha)
 	}

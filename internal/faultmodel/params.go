@@ -109,11 +109,18 @@ type Params struct {
 	coupling *couplingLUT
 }
 
+// defaultAlpha is Default's coupling exponent; defaultCoupling is its
+// sampled curve, built once per process. The table is never mutated, so
+// every Default value (one per ModuleSpec.BuildParams call) shares it.
+const defaultAlpha = 4.3
+
+var defaultCoupling = newCouplingLUT(defaultAlpha)
+
 // Default returns a generic mid-range parameter set. Per-module profiles in
 // the chip catalog override the lognormal locations via Calibrate.
 func Default() Params {
-	p := Params{
-		Alpha:            4.3,
+	return Params{
+		Alpha:            defaultAlpha,
 		DeadTimeNs:       10,
 		VPrecharge:       0.5,
 		MuBase:           -9.87,
@@ -133,9 +140,8 @@ func Default() Params {
 		PressGamma:       0.8,
 		PressRefNs:       36,
 		AntiCellFraction: 0,
+		coupling:         defaultCoupling,
 	}
-	p.coupling = newCouplingLUT(p.Alpha)
-	return p
 }
 
 // BaseTempFactor returns the multiplicative factor on λ_base at tempC.
