@@ -41,8 +41,7 @@ import (
 // absolute, and the ±5.7 cutoffs, which drop or saturate terms below
 // PhiC(5.7) ≈ 6e-9. Its flip probabilities therefore agree with the literal
 // quadrature only to ~1e-7 absolute — far below the binomial sampling
-// noise, but not bit-for-bit. TestSurvivalEvalMatches and
-// TestLooseSurvivalAbsoluteError pin the two bounds.
+// noise, but not bit-for-bit. TestSurvivalEvalMatches pins both bounds.
 
 const (
 	invSqrtPi = 0.5641895835477563

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"strings"
@@ -23,8 +24,7 @@ const goldenPath = "testdata/golden_small.sha256"
 var updateGolden = flag.Bool("update", false, "rewrite "+goldenPath+" from the current reports")
 
 var golden struct {
-	once sync.Once
-	want map[string]string // experiment ID → hex digest
+	want map[string]string // experiment ID → hex digest, loaded by TestMain
 	err  error
 
 	mu  sync.Mutex
@@ -62,7 +62,6 @@ func checkGolden(t *testing.T, id, report string) {
 		golden.mu.Unlock()
 		return
 	}
-	golden.once.Do(func() { golden.want, golden.err = loadGolden() })
 	if golden.err != nil {
 		t.Fatalf("golden digests: %v (bless with -update)", golden.err)
 	}
@@ -83,17 +82,17 @@ func TestGoldenCoversRegistry(t *testing.T) {
 	if *updateGolden {
 		t.Skip("re-blessing")
 	}
-	want, err := loadGolden()
-	if err != nil {
-		t.Fatalf("golden digests: %v (bless with -update)", err)
+	if golden.err != nil {
+		t.Fatalf("golden digests: %v (bless with -update)", golden.err)
 	}
+	stale := maps.Clone(golden.want)
 	for _, e := range All() {
-		if _, ok := want[e.ID]; !ok {
+		if _, ok := stale[e.ID]; !ok {
 			t.Errorf("%s has no golden digest", e.ID)
 		}
-		delete(want, e.ID)
+		delete(stale, e.ID)
 	}
-	for id := range want {
+	for id := range stale {
 		t.Errorf("golden digest for unregistered experiment %s", id)
 	}
 }
@@ -101,6 +100,7 @@ func TestGoldenCoversRegistry(t *testing.T) {
 func TestMain(m *testing.M) {
 	flag.Parse()
 	golden.got = map[string]string{}
+	golden.want, golden.err = loadGolden()
 	code := m.Run()
 	if *updateGolden && code == 0 {
 		if err := writeGolden(); err != nil {
@@ -114,16 +114,12 @@ func TestMain(m *testing.M) {
 // writeGolden merges the digests observed in this run into goldenPath, so a
 // -run filtered re-bless touches only the artifacts it rendered.
 func writeGolden() error {
-	all, err := loadGolden()
-	if err != nil && !os.IsNotExist(err) {
-		return err
+	if golden.err != nil && !os.IsNotExist(golden.err) {
+		return golden.err
 	}
-	if all == nil {
-		all = map[string]string{}
-	}
-	for id, sum := range golden.got {
-		all[id] = sum
-	}
+	all := map[string]string{}
+	maps.Copy(all, golden.want)
+	maps.Copy(all, golden.got)
 	ids := make([]string, 0, len(all))
 	for id := range all {
 		ids = append(ids, id)
