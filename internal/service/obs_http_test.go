@@ -146,7 +146,9 @@ func TestSubmitTraceID(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || st.TraceID != "client-correlation-1" {
 		t.Fatalf("supplied trace ID not honored: %s, %+v", resp.Status, st)
 	}
-	resp2, st2 := submit(`{"experiment":"table1"}`)
+	// A different seed keeps the second job out of the first one's flight:
+	// a coalesced follower shares its leader's trace ID by design.
+	resp2, st2 := submit(`{"experiment":"table1","overrides":{"seed":"2"}}`)
 	if resp2.StatusCode != http.StatusAccepted || st2.TraceID == "" || st2.TraceID == st.TraceID {
 		t.Fatalf("minted trace ID missing or colliding: %+v vs %+v", st2, st)
 	}
