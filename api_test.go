@@ -10,13 +10,18 @@ import (
 
 // TestLocalRunnerMultiExperiment: one request fans several experiments
 // onto the shared pool and returns reports in request order, identical to
-// the deprecated single-experiment entry points.
+// single-experiment requests run serially on a separate runner.
 func TestLocalRunnerMultiExperiment(t *testing.T) {
 	r, err := NewLocalRunner(LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	single, err := NewLocalRunner(LocalOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
 
 	ids := []string{"table1", "sec61"}
 	res, err := r.Run(context.Background(), Request{Experiments: ids})
@@ -31,12 +36,12 @@ func TestLocalRunnerMultiExperiment(t *testing.T) {
 		if rep == nil || rep.ID != id {
 			t.Fatalf("report %d = %+v, want id %s", i, rep, id)
 		}
-		old, err := RunExperiment(id, false)
+		one, err := single.Run(context.Background(), Request{Experiments: []string{id}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Text != old.Text {
-			t.Fatalf("%s: typed API report differs from deprecated entry point", id)
+		if rep.Text != one.Reports[0].Text {
+			t.Fatalf("%s: batch report differs from a single-experiment run", id)
 		}
 		if res.Report(id) != rep {
 			t.Fatalf("Report(%q) lookup failed", id)
@@ -170,46 +175,18 @@ func TestRunnerProfileAndOverrides(t *testing.T) {
 // TestRunnerPartialFailure: one failing experiment in a batch surfaces at
 // its position while the rest complete.
 func TestRunnerPartialFailure(t *testing.T) {
-	// The deprecated shim path keeps its contract too.
-	if _, err := RunExperiment("nope", false); err == nil {
-		t.Fatal("unknown experiment accepted by shim")
-	}
-
 	r, err := NewLocalRunner(LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	if _, err := r.Run(context.Background(), Request{Experiments: []string{"nope"}}); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
 	// Cancelled context: Run returns ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.Run(ctx, Request{Experiments: []string{"table1"}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v", err)
-	}
-}
-
-// TestDeprecatedShimProgress: RunExperimentWith's progress callback still
-// fires, now fed by shard_done events.
-func TestDeprecatedShimProgress(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	lastDone, total := 0, 0
-	rep, err := RunExperimentWith(context.Background(), "table1", false, 2, func(done, tot int, label string) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if done != lastDone+1 || label == "" {
-			panic("progress out of order or unlabeled")
-		}
-		lastDone, total = done, tot
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.ID != "table1" {
-		t.Fatalf("report = %+v", rep)
-	}
-	if calls == 0 || lastDone != total {
-		t.Fatalf("progress: %d calls, %d/%d", calls, lastDone, total)
 	}
 }

@@ -381,8 +381,8 @@ func BenchmarkDiffReadsFiltered(b *testing.B) {
 }
 
 // BenchmarkCouplingEval measures the coupling nonlinearity evaluation that
-// prices every epoch and column class — the sampled-LUT path for a swept
-// ΔV (the alpha-mutated exact path is ~20× slower; see faultmodel).
+// prices every epoch and column class: the exact Expm1 formula for a swept
+// ΔV.
 func BenchmarkCouplingEval(b *testing.B) {
 	p := chipdb.DDR4Modules()[0].BuildParams()
 	acc := 0.0

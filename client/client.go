@@ -196,9 +196,9 @@ func (r *Runner) Experiments(ctx context.Context) ([]columndisturb.ExperimentInf
 }
 
 // Workers lists the remote workers currently attached to the server's
-// dispatcher (GET /v1/workers), including the per-worker throughput
-// statistics the scheduler's affinity rule feeds on. An empty slice means
-// the server is running every shard in-process.
+// dispatcher (GET /v1/workers), including per-worker completion counts
+// and busy time. An empty slice means the server is running every shard
+// in-process.
 func (r *Runner) Workers(ctx context.Context) ([]dispatch.WorkerInfo, error) {
 	var out []dispatch.WorkerInfo
 	if err := r.getJSON(ctx, "/v1/workers", &out); err != nil {

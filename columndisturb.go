@@ -1,7 +1,6 @@
 package columndisturb
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -218,66 +217,6 @@ type Report struct {
 	Notes   []string
 	Text    string        // aligned text rendering
 	Elapsed time.Duration // wall time, measured once by the service
-}
-
-// ProgressFunc receives experiment progress: done of total shards are
-// complete, and label names the shard that just finished. Calls are
-// serialized but may arrive in any shard order.
-type ProgressFunc func(done, total int, label string)
-
-// RunExperiment regenerates one paper artifact at the default worker bound
-// (GOMAXPROCS). full=false runs the "small" profile (benchmark scale),
-// full=true the "full" profile (paper breadth). Output is bit-identical
-// for every worker count.
-//
-// Deprecated: use a Runner with a typed Request — it expresses
-// multi-experiment jobs, named profiles beyond small/full, per-run
-// overrides, caching and event subscription. This shim survives for
-// source compatibility and delegates to the same path.
-func RunExperiment(id string, full bool) (*Report, error) {
-	return RunExperimentWith(context.Background(), id, full, 0, nil)
-}
-
-// RunExperimentWith is RunExperiment with an explicit worker bound
-// (workers <= 0 selects GOMAXPROCS, 1 forces the serial reference path)
-// and an optional progress callback. Sharded experiments produce
-// byte-identical reports for every worker count: shard randomness is
-// derived from per-shard keys and partial results merge in canonical
-// order. Cancelling ctx aborts the run and returns an error satisfying
-// errors.Is(err, ctx.Err()).
-//
-// Deprecated: use NewLocalRunner + Runner.Run with a Request; subscribe
-// for events instead of the progress callback. This shim builds exactly
-// that — a one-request LocalRunner whose shard_done events feed progress —
-// so both entry points execute the identical code path.
-func RunExperimentWith(ctx context.Context, id string, full bool, workers int, progress ProgressFunc) (*Report, error) {
-	r, err := NewLocalRunner(LocalOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	if progress != nil {
-		stop := r.Subscribe(func(ev Event) {
-			if ev.Type == EventShardDone {
-				progress(ev.Done, ev.Total, ev.Shard)
-			}
-		})
-		defer stop()
-	}
-	profile := "small"
-	if full {
-		profile = "full"
-	}
-	res, err := r.Run(ctx, Request{Experiments: []string{id}, Profile: profile})
-	if err != nil {
-		if res != nil && res.Errors[0] != nil {
-			// Unwrap the single-experiment failure: callers of the old API
-			// expect the experiment's own error, not a joined batch error.
-			return nil, res.Errors[0]
-		}
-		return nil, err
-	}
-	return res.Reports[0], nil
 }
 
 // MitigationAnalysis is the §6.1 comparison of the two ColumnDisturb

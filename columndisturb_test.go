@@ -1,6 +1,7 @@
 package columndisturb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -102,14 +103,20 @@ func TestListAndRunExperiments(t *testing.T) {
 	if len(exps) < 20 {
 		t.Fatalf("only %d experiments listed", len(exps))
 	}
-	rep, err := RunExperiment("sec61", false)
+	r, err := NewLocalRunner(LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
+	res, err := r.Run(context.Background(), Request{Experiments: []string{"sec61"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Reports[0]
 	if rep.ID != "sec61" || len(rep.Rows) == 0 || !strings.Contains(rep.Text, "PRVR") {
 		t.Fatalf("bad report: %+v", rep)
 	}
-	if _, err := RunExperiment("nope", false); err == nil {
+	if _, err := r.Run(context.Background(), Request{Experiments: []string{"nope"}}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -505,18 +505,18 @@ func TestDispatcherCostOrderedLeasing(t *testing.T) {
 	}
 }
 
-// TestDispatcherBigShardAffinity is the acceptance scenario: a 1-big +
-// N-small plan and two unequal workers. Even when the weak worker polls
-// first, the big shard must land on the higher-capacity worker — the weak
-// worker defers it (affinity) and takes a small shard instead.
-func TestDispatcherBigShardAffinity(t *testing.T) {
+// TestDispatcherGrantsQueueHeadToFirstPoller: placement is whichever
+// capacity polls first. With a 1-big + N-small plan and two unequal
+// workers, the weak worker polling first is granted the queue head (the
+// big shard) even though a stronger worker has free slots.
+func TestDispatcherGrantsQueueHeadToFirstPoller(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
 	defer d.Close()
 	weak, _ := d.Register("weak", 1)
 	strong, _ := d.Register("strong", 4)
 	shards := []engine.Shard{
-		costShard("big", 100),
-		costShard("s1", 1), costShard("s2", 1), costShard("s3", 1), costShard("s4", 1),
+		costShard("s1", 1), costShard("s2", 1), costShard("big", 100),
+		costShard("s3", 1), costShard("s4", 1),
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -529,22 +529,19 @@ func TestDispatcherBigShardAffinity(t *testing.T) {
 		return d.pending.Len() == len(shards)
 	}, "plan enqueued")
 
-	// The weak worker polls first: the big shard sits at the queue head,
-	// but a strictly stronger worker has free slots, so the weak worker
-	// must be handed a small shard instead.
 	gw, err := d.Lease(context.Background(), weak.WorkerID, 100*time.Millisecond)
 	if err != nil || gw == nil {
 		t.Fatalf("weak lease: %+v, %v", gw, err)
 	}
-	if string(gw.Spec) == "big" {
-		t.Fatal("big shard leased to the weak worker despite a free stronger worker")
+	if string(gw.Spec) != "big" {
+		t.Fatalf("weak worker leased %q, want the queue head (big)", gw.Spec)
 	}
 	gs, err := d.Lease(context.Background(), strong.WorkerID, 100*time.Millisecond)
 	if err != nil || gs == nil {
 		t.Fatalf("strong lease: %+v, %v", gs, err)
 	}
-	if string(gs.Spec) != "big" {
-		t.Fatalf("strong worker leased %q, want the big shard", gs.Spec)
+	if string(gs.Spec) != "s1" {
+		t.Fatalf("strong worker leased %q, want s1 (FIFO among equal costs)", gs.Spec)
 	}
 
 	// Drain: complete the two grants, then the rest through the strong
@@ -573,45 +570,12 @@ func TestDispatcherBigShardAffinity(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// The stats that feed the affinity weighting moved: both workers
-	// completed work and report busy time.
+	// The /v1/workers stats are tracked: both workers completed work and
+	// report busy time.
 	for _, w := range d.RemoteWorkers() {
 		if w.Completed == 0 || w.BusyMs < 0 || w.AvgTaskMs < 0 {
 			t.Fatalf("worker stats not tracked: %+v", w)
 		}
-	}
-}
-
-// TestDispatcherAffinitySkipBudget: with no small shard to fall back on,
-// the weak worker still gets the big shard — affinity may defer, never
-// starve.
-func TestDispatcherAffinitySkipBudget(t *testing.T) {
-	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
-	defer d.Close()
-	weak, _ := d.Register("weak", 1)
-	d.Register("strong", 4) // stronger and free, but never polls
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Run(context.Background(), []engine.Shard{costShard("big", 100)}, engine.Options{})
-		done <- err
-	}()
-	var g *LeaseGrant
-	waitFor(t, 2*time.Second, func() bool {
-		var err error
-		g, err = d.Lease(context.Background(), weak.WorkerID, 50*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g != nil
-	}, "solitary big shard leased to the only polling worker")
-	if string(g.Spec) != "big" {
-		t.Fatalf("leased %q, want big", g.Spec)
-	}
-	if err := d.Complete(weak.WorkerID, g.TaskID, []byte("v"), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,58 +2,17 @@ package faultmodel
 
 import "math"
 
-// couplingLUTSamples is the resolution of the sampled coupling curve. At
-// alpha ≈ 4.3 the worst-case linear-interpolation error of a 2048-interval
-// table is ≈ 6e-7, three orders of magnitude below any calibrated rate's
-// meaningful precision (TestCouplingLUTAccuracy pins 1e-5).
-const couplingLUTSamples = 2048
-
-// couplingLUT caches f(Δ) = (e^{αΔ}−1)/(e^{α}−1) sampled uniformly over
-// Δ ∈ [0, 1] for one alpha. It is never mutated after construction, so one
-// table is shared by every Params value and across shard goroutines.
-type couplingLUT struct {
-	alpha   float64
-	samples [couplingLUTSamples + 1]float64
-}
-
-func newCouplingLUT(alpha float64) *couplingLUT {
-	l := &couplingLUT{alpha: alpha}
-	den := math.Expm1(alpha)
-	for i := range l.samples {
-		l.samples[i] = math.Expm1(alpha*float64(i)/couplingLUTSamples) / den
-	}
-	return l
-}
-
-func (l *couplingLUT) eval(dv float64) float64 {
-	x := dv * couplingLUTSamples
-	i := int(x)
-	if i >= couplingLUTSamples {
-		return 1
-	}
-	f := x - float64(i)
-	return l.samples[i] + f*(l.samples[i+1]-l.samples[i])
-}
-
 // Coupling evaluates the normalized coupling nonlinearity
 // f(Δ) = (e^{αΔ} − 1)/(e^{α} − 1), clamped to Δ ∈ [0, 1]. f(0) = 0,
 // f(1) = 1, and the superlinearity means a bitline held at GND disturbs a
 // charged cell roughly an order of magnitude faster than the precharged
 // VDD/2 level that retention failures see.
-//
-// When the Params carry a sampled curve for the current Alpha (every value
-// built by Default inherits one), the two Expm1 calls collapse to a table
-// interpolation. Mutating Alpha afterwards (the ablation sweep does) makes
-// the key mismatch and transparently restores the exact formula.
 func (p *Params) Coupling(dv float64) float64 {
 	if dv <= 0 {
 		return 0
 	}
 	if dv >= 1 {
 		return 1
-	}
-	if l := p.coupling; l != nil && l.alpha == p.Alpha {
-		return l.eval(dv)
 	}
 	return math.Expm1(p.Alpha*dv) / math.Expm1(p.Alpha)
 }

@@ -34,38 +34,6 @@ func TestCouplingSuperlinear(t *testing.T) {
 	}
 }
 
-// TestCouplingLUTAccuracy pins the sampled curve against the exact Expm1
-// formula: the interpolation error budget is 1e-5, far below any calibrated
-// rate's precision (the 2048-interval table lands near 6e-7 at alpha 4.3).
-// It also verifies the alpha-key fallback: mutating Alpha must transparently
-// restore the exact formula, because the ablation sweep relies on it.
-func TestCouplingLUTAccuracy(t *testing.T) {
-	p := Default()
-	if p.coupling == nil {
-		t.Fatal("Default() must attach a sampled coupling curve")
-	}
-	if Default().coupling != p.coupling {
-		t.Fatal("Default() rebuilt the coupling curve instead of sharing it")
-	}
-	exact := func(alpha, dv float64) float64 {
-		return math.Expm1(alpha*dv) / math.Expm1(alpha)
-	}
-	worst := 0.0
-	for i := 1; i < 4096; i++ {
-		dv := float64(i) / 4096
-		if d := math.Abs(p.Coupling(dv) - exact(p.Alpha, dv)); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-5 {
-		t.Fatalf("LUT interpolation error %.3g exceeds 1e-5", worst)
-	}
-	p.Alpha = 6.0
-	if got, want := p.Coupling(0.5), exact(6.0, 0.5); got != want {
-		t.Fatalf("stale LUT used after Alpha mutation: got %v want %v", got, want)
-	}
-}
-
 func TestCouplingMonotonic(t *testing.T) {
 	p := Default()
 	f := func(a, b float64) bool {

@@ -102,25 +102,13 @@ type Params struct {
 	// dominant (retention and ColumnDisturb flips are 1→0 only), so the
 	// default is 0, but the mechanism is modelled for completeness.
 	AntiCellFraction float64
-
-	// coupling is the sampled f(Δ) curve for Alpha, attached at
-	// construction. Coupling ignores it whenever its alpha key no longer
-	// matches Alpha, so field-by-field mutation stays safe.
-	coupling *couplingLUT
 }
-
-// defaultAlpha is Default's coupling exponent; defaultCoupling is its
-// sampled curve, built once per process. The table is never mutated, so
-// every Default value (one per ModuleSpec.BuildParams call) shares it.
-const defaultAlpha = 4.3
-
-var defaultCoupling = newCouplingLUT(defaultAlpha)
 
 // Default returns a generic mid-range parameter set. Per-module profiles in
 // the chip catalog override the lognormal locations via Calibrate.
 func Default() Params {
 	return Params{
-		Alpha:            defaultAlpha,
+		Alpha:            4.3,
 		DeadTimeNs:       10,
 		VPrecharge:       0.5,
 		MuBase:           -9.87,
@@ -140,7 +128,6 @@ func Default() Params {
 		PressGamma:       0.8,
 		PressRefNs:       36,
 		AntiCellFraction: 0,
-		coupling:         defaultCoupling,
 	}
 }
 

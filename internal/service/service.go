@@ -632,7 +632,6 @@ func (f *flight) finish(res *experiments.Result, err error) {
 		if cb != nil {
 			cb(out)
 		}
-		close(j.done)
 	}
 	f.emitMu.Unlock()
 
@@ -656,6 +655,9 @@ func (f *flight) finish(res *experiments.Result, err error) {
 			s.journal.settled(j.id, state, errText)
 		}
 		s.noteSettled(j.id)
+		// done closes last: a returned Wait implies the journal and
+		// retention bookkeeping for this job is complete.
+		close(j.done)
 	}
 }
 
@@ -723,7 +725,6 @@ func (f *flight) drop(j *Job) {
 	if cb := s.opts.OnEvent; cb != nil {
 		cb(ev)
 	}
-	close(j.done)
 	f.emitMu.Unlock()
 
 	if last {
@@ -742,6 +743,7 @@ func (f *flight) drop(j *Job) {
 		s.journal.settled(j.id, JobCanceled, err.Error())
 	}
 	s.noteSettled(j.id)
+	close(j.done) // last, as in finish
 }
 
 // Job is one submitted experiment run: a member of a flight. Coalesced
