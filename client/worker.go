@@ -59,13 +59,8 @@ type WorkerOptions struct {
 	// (<= 0 selects 500ms).
 	RetryBackoff time.Duration
 	// Logger receives structured lifecycle and task logs — `cdlab worker`
-	// wires it to stderr at the -log-level threshold. Nil falls back to the
-	// Logf bridge, and to a no-op logger when that is nil too.
+	// wires it to stderr at the -log-level threshold. Nil discards them.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style log hook, kept for embedders. Used
-	// only when Logger is nil: each record is rendered to one line and
-	// delivered through it.
-	Logf func(format string, args ...any)
 }
 
 // RunWorker attaches to the server at addr as a shard-execution worker and
@@ -83,11 +78,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 		w.hc = http.DefaultClient
 	}
 	if w.log == nil {
-		if opts.Logf != nil {
-			w.log = obs.NewCallbackLogger(slog.LevelDebug, opts.Logf)
-		} else {
-			w.log = obs.NopLogger()
-		}
+		w.log = obs.NopLogger()
 	}
 	if w.opts.Capacity <= 0 {
 		w.opts.Capacity = runtime.GOMAXPROCS(0)

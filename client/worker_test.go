@@ -1,9 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -416,31 +418,30 @@ func TestSilentWorkerDroppedFromLeaseTable(t *testing.T) {
 func TestWorkerReRegistersAfterDrop(t *testing.T) {
 	_, ts := newDispatchServer(t, 150*time.Millisecond)
 
-	var registrations atomic.Int64
-	var mu sync.Mutex
-	var lines []string
+	var logs syncBuffer
 	startWorker(t, ts.URL, WorkerOptions{
 		Name:         "flappy",
 		Capacity:     1,
 		PollWait:     20 * time.Millisecond,
 		RetryBackoff: 400 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			mu.Lock()
-			lines = append(lines, line)
-			mu.Unlock()
-			// A fresh identity logs "registered as <id>"; an identity taken
-			// after a server-side drop logs the eviction-gap warning instead.
+		Logger:       slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})),
+	})
+	// A fresh identity logs "registered as <id>"; an identity taken after a
+	// server-side drop logs the eviction-gap warning instead.
+	registrations := func() int {
+		n := 0
+		for _, line := range logs.lines() {
 			if strings.Contains(line, "registered as") ||
 				strings.Contains(line, "re-registered after server-side eviction") {
-				registrations.Add(1)
+				n++
 			}
-		},
-	})
+		}
+		return n
+	}
 	// Wait for the first registration, then force the drop by deleting the
 	// worker server-side (an operator evicting it, or a restart losing the
 	// table).
-	waitForCond(t, 5*time.Second, func() bool { return registrations.Load() >= 1 }, "first registration")
+	waitForCond(t, 5*time.Second, func() bool { return registrations() >= 1 }, "first registration")
 	resp, err := http.Get(ts.URL + "/v1/workers")
 	if err != nil {
 		t.Fatal(err)
@@ -453,15 +454,13 @@ func TestWorkerReRegistersAfterDrop(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	waitForCond(t, 10*time.Second, func() bool { return registrations.Load() >= 2 }, "re-registration after eviction")
+	waitForCond(t, 10*time.Second, func() bool { return registrations() >= 2 }, "re-registration after eviction")
 
 	// The re-register after an eviction must warn with the blackout window
 	// (the eviction-to-reregister gap), so operators can see how long the
 	// fleet ran a worker short.
 	waitForCond(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, line := range lines {
+		for _, line := range logs.lines() {
 			if strings.Contains(line, "re-registered after server-side eviction") &&
 				strings.Contains(line, "gap_ms=") {
 				return true
@@ -469,6 +468,25 @@ func TestWorkerReRegistersAfterDrop(t *testing.T) {
 		}
 		return false
 	}, "eviction-gap warning with gap_ms")
+}
+
+// syncBuffer is a goroutine-safe log sink the test can read while the
+// worker is still writing to it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) lines() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.Split(b.buf.String(), "\n")
 }
 
 func waitForCond(t *testing.T, d time.Duration, cond func() bool, what string) {

@@ -13,11 +13,11 @@
 // FPGA-based testing infrastructure. This library substitutes calibrated
 // device-level simulation for the hardware (see DESIGN.md): a cell-explicit
 // DRAM model driven by command programs, a statistical population model for
-// the paper's large sweeps, the full characterization methodology (RowClone
-// boundary reverse engineering, retention profiling, bisection search), the
-// ECC analyses, and a cycle-accurate memory-system simulator (a per-bank
-// DRAM command state machine enforcing the datasheet timing constraints,
-// DESIGN.md §15) for the retention-aware refresh evaluation.
+// the paper's large sweeps, the characterization methodology (RowClone
+// boundary reverse engineering, bisection search, guard-filtered disturb
+// runs), the ECC analyses, and a cycle-accurate memory-system simulator (a
+// per-bank DRAM command state machine enforcing the datasheet timing
+// constraints, DESIGN.md §15) for the retention-aware refresh evaluation.
 //
 // The package exposes three levels of API:
 //
@@ -52,10 +52,9 @@
 // bit-identical for every worker count, every placement (local,
 // distributed, mid-run worker loss), and warm or cold caches — there is no
 // serial special case. Shards additionally carry cost estimates (static
-// plan hints in estimated single-core milliseconds, overridden by wall
-// times the service learns from earlier runs) that the dispatcher uses for
-// largest-first lease ordering (DESIGN.md §12); costs steer scheduling
-// only and never change results.
+// plan hints in estimated single-core milliseconds) that the dispatcher
+// uses for largest-first lease ordering (DESIGN.md §12); costs steer
+// scheduling only and never change results.
 // Plan builders also consume their own hints: a shard whose estimate
 // exceeds a configurable share of the plan total (Config.MaxShardShare,
 // default 10%) is subdivided along its atom list — runs, blast cells,

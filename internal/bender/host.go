@@ -16,8 +16,6 @@ const DefaultMaxLiteralIterations = 200_000
 // machine pair in the real infrastructure.
 type Host struct {
 	mod *dram.Module
-	// MaxLiteralIterations overrides DefaultMaxLiteralIterations when > 0.
-	MaxLiteralIterations int
 }
 
 // NewHost attaches a host to a module under test.
@@ -39,13 +37,6 @@ func (h *Host) Run(p Program) (*Result, error) {
 		return nil, fmt.Errorf("bender: program %q: %w", p.Name, err)
 	}
 	return res, nil
-}
-
-func (h *Host) maxLiteral() int {
-	if h.MaxLiteralIterations > 0 {
-		return h.MaxLiteralIterations
-	}
-	return DefaultMaxLiteralIterations
 }
 
 func (h *Host) exec(instrs []Instr, res *Result) error {
@@ -123,9 +114,9 @@ func (h *Host) execLoop(l Loop, res *Result) error {
 		return nil
 	}
 	// Literal execution for everything else.
-	if work := l.Count * len(l.Body); work > h.maxLiteral() {
+	if work := l.Count * len(l.Body); work > DefaultMaxLiteralIterations {
 		return fmt.Errorf("literal loop of %d instruction executions exceeds limit %d "+
-			"(use a canonical hammer body for fast-forwarding)", work, h.maxLiteral())
+			"(use a canonical hammer body for fast-forwarding)", work, DefaultMaxLiteralIterations)
 	}
 	for i := 0; i < l.Count; i++ {
 		if err := h.exec(l.Body, res); err != nil {

@@ -170,15 +170,19 @@ func TestRowCloneProgram(t *testing.T) {
 
 func TestLiteralLoopLimit(t *testing.T) {
 	h := NewHost(testModule(t, 7))
-	h.MaxLiteralIterations = 100
-	// A non-canonical body (extra read) cannot be fast-forwarded.
+	// A non-canonical body (extra read) cannot be fast-forwarded. One
+	// iteration past the bound is rejected before anything executes, so
+	// the check costs nothing.
+	body := []Instr{Act{0, 1}, Wait{36}, Pre{0}, Wait{14}, Read{0, 5, "r"}}
 	prog := Program{Instrs: []Instr{
-		Loop{Count: 1000, Body: []Instr{
-			Act{0, 1}, Wait{36}, Pre{0}, Wait{14}, Read{0, 5, "r"},
-		}},
+		Loop{Count: DefaultMaxLiteralIterations/len(body) + 1, Body: body},
 	}}
+	before := h.Module().NowNs()
 	if _, err := h.Run(prog); err == nil {
 		t.Fatal("oversized literal loop must be rejected")
+	}
+	if h.Module().NowNs() != before {
+		t.Fatal("the rejected loop executed before the limit check")
 	}
 	// Canonical bodies are exempt.
 	if _, err := h.Run(HammerProgram(0, 1, 100000, 36, 14)); err != nil {

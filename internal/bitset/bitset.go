@@ -1,12 +1,9 @@
 // Package bitset provides a dense bit set over small non-negative integer
-// keys. The characterization pipeline's hot loops test row/cell membership
-// once per read-back bit (guard-band rows, profiled retention-weak cells);
-// a dense bitset answers those probes with one shift-and-mask instead of a
-// map lookup's hashing and pointer chasing, and a bank-sized cell set
-// (≈1M bits) costs ~128 KiB instead of a multi-megabyte map.
+// keys. The characterization pipeline's hot loops test guard-band row
+// membership once per read-back row; a dense bitset answers those probes
+// with one shift-and-mask instead of a map lookup's hashing and pointer
+// chasing.
 package bitset
-
-import "math/bits"
 
 // Set is a dense bit set. The zero value and the nil pointer are both
 // empty, usable sets (membership tests only; Add requires a non-nil Set).
@@ -69,18 +66,4 @@ func (s *Set) Len() int {
 		return 0
 	}
 	return s.n
-}
-
-// ForEach calls fn for every member in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	if s == nil {
-		return
-	}
-	for w, word := range s.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			fn(w<<6 | b)
-		}
-	}
 }

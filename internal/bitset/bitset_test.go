@@ -45,24 +45,8 @@ func TestNilSafety(t *testing.T) {
 	if s.Contains(7) || s.Len() != 0 {
 		t.Fatal("nil set not empty")
 	}
-	s.ForEach(func(int) { t.Fatal("nil ForEach visited") })
 	if Of().Contains(-1) {
 		t.Fatal("negative key contained")
-	}
-}
-
-func TestForEachAscending(t *testing.T) {
-	want := []int{2, 64, 65, 700}
-	s := Of(700, 2, 65, 64)
-	var got []int
-	s.ForEach(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
 	}
 }
 

@@ -150,9 +150,6 @@ func New(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the on-disk directory ("" when the store is memory-only).
-func (s *Store) Dir() string { return s.opts.Dir }
-
 // Backend is the store interface the service caches shard results
 // through. *Store is the in-process implementation; the seam exists so a
 // replica fleet can later share one content-addressed backend (a network

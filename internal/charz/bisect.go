@@ -7,7 +7,10 @@ import (
 	"columndisturb/internal/dram"
 )
 
-// TTFConfig parameterizes the time-to-first-bitflip search (§3.2).
+// TTFConfig parameterizes the time-to-first-bitflip search (§3.2). A
+// probe counts every bitflip in the aggressor's subarray outside the
+// GuardRows band; there is no retention exclusion set (Fig 2 measures
+// retention failures with its own idle arm).
 type TTFConfig struct {
 	TAggOnNs, TRPNs float64
 	AggPattern      dram.DataPattern
@@ -26,8 +29,6 @@ type TTFConfig struct {
 	// from counting (RowHammer/RowPress filtering; the paper uses 4 per
 	// side, i.e. the eight nearest victims).
 	GuardRows int
-	// Retention optionally excludes profiled retention-weak cells.
-	Retention *RetentionProfile
 }
 
 // DefaultTTFConfig returns the paper's search parameters with the
@@ -74,10 +75,6 @@ func TimeToFirstBitflip(h *bender.Host, bank, aggRow int, cfg TTFConfig) (TTFRes
 
 	filter := &Filter{
 		ExcludedRows: GuardRows(g, []int{aggPhys}, cfg.GuardRows),
-		Cols:         g.Cols,
-	}
-	if cfg.Retention != nil {
-		filter.ExcludedCells = cfg.Retention.FailingWithin(cfg.MaxTimeMs)
 	}
 
 	res := TTFResult{}

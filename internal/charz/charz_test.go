@@ -67,149 +67,6 @@ func TestScanSubarrayBoundaries(t *testing.T) {
 			t.Fatalf("boundaries %v, want %v", bounds, want)
 		}
 	}
-	// SubarrayOfBoundaries agrees with the geometry.
-	for _, r := range []int{0, 5, 31, 32, 63, 64, 95} {
-		if got := SubarrayOfBoundaries(bounds, r); got != g.SubarrayOf(r) {
-			t.Fatalf("row %d classified into %d, want %d", r, got, g.SubarrayOf(r))
-		}
-	}
-}
-
-func TestExhaustivePartitionMatchesScan(t *testing.T) {
-	h := newHost(t, 3, 5, 50, 0, nil)
-	g := h.Module().Geometry()
-	// Cover the first boundary: rows 0..39 span subarrays 0 and 1.
-	groups, err := ExhaustivePartition(h, 0, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("want 2 groups, got %d", len(groups))
-	}
-	for _, grp := range groups {
-		sub := g.SubarrayOf(grp[0])
-		for _, r := range grp {
-			if g.SubarrayOf(r) != sub {
-				t.Fatalf("group mixes subarrays: %v", grp)
-			}
-		}
-	}
-	if len(groups[0])+len(groups[1]) != 40 {
-		t.Fatal("partition lost rows")
-	}
-}
-
-func TestProbeNeighborsDirectMapping(t *testing.T) {
-	h := newHost(t, 4, 1e6, 1e6, 1000, nil) // CD disabled, RowHammer easy
-	g := h.Module().Geometry()
-	agg := g.SubarrayBase(1) + 16
-	cfg := ProbeConfig{Acts: 5000, TAggOnNs: 36, TRPNs: 14, Window: 6, MinFlips: 8}
-	ns, err := ProbeNeighbors(h, 0, agg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 2 || ns[0] != agg-1 || ns[1] != agg+1 {
-		t.Fatalf("neighbours %v, want [%d %d]", ns, agg-1, agg+1)
-	}
-}
-
-func TestInferRowOrderRecoversScramble(t *testing.T) {
-	perm := []int{2, 5, 0, 7, 1, 4, 6, 3}
-	gs, err := dram.NewGroupScramble(3, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newHost(t, 5, 1e6, 1e6, 1000, gs)
-	cfg := ProbeConfig{Acts: 5000, TAggOnNs: 36, TRPNs: 14, Window: 8, MinFlips: 8}
-	// Order the second group of 8 rows inside subarray 0 (rows 8..15):
-	// strictly interior, so the chain walk sees clean endpoints.
-	order, err := InferRowOrder(h, 0, 8, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inferred order must equal the physical order (logical rows
-	// sorted by Physical), possibly reversed.
-	want := make([]int, 8)
-	for i := range want {
-		want[gs.Physical(8+i)-8] = 8 + i
-	}
-	forward, backward := true, true
-	for i := range want {
-		if order[i] != want[i] {
-			forward = false
-		}
-		if order[i] != want[len(want)-1-i] {
-			backward = false
-		}
-	}
-	if !forward && !backward {
-		t.Fatalf("inferred order %v, want %v (or its reverse)", order, want)
-	}
-}
-
-func TestVerifyMapping(t *testing.T) {
-	perm := []int{1, 0, 3, 2}
-	gs, err := dram.NewGroupScramble(2, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newHost(t, 6, 1e6, 1e6, 1000, gs)
-	g := h.Module().Geometry()
-	cfg := ProbeConfig{Acts: 5000, TAggOnNs: 36, TRPNs: 14, Window: 6, MinFlips: 8}
-	samples := []int{g.SubarrayBase(1) + 9, g.SubarrayBase(1) + 14}
-	if err := VerifyMapping(h, 0, gs, samples, cfg); err != nil {
-		t.Fatalf("true mapping rejected: %v", err)
-	}
-	if err := VerifyMapping(h, 0, dram.DirectMapping{}, samples, cfg); err == nil {
-		t.Fatal("wrong mapping accepted")
-	}
-}
-
-func TestProfileRetention(t *testing.T) {
-	h := newHost(t, 7, 5, 50, 0, nil)
-	g := h.Module().Geometry()
-	cfg := RetentionConfig{
-		Patterns:    []dram.DataPattern{dram.PatFF},
-		Trials:      2,
-		IntervalsMs: []float64{50, 200, 800},
-	}
-	prof, err := ProfileRetention(h, 0, 0, g.RowsPerSubarray-1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof.MinFailMs) == 0 {
-		t.Fatal("retention profiling found no failures at 800 ms on a 50 ms-first-failure module")
-	}
-	short := prof.FailingWithin(50).Len()
-	long := prof.FailingWithin(800).Len()
-	if short > long {
-		t.Fatal("failing-cell set must grow with the interval")
-	}
-	for id, ms := range prof.MinFailMs {
-		if ms != 50 && ms != 200 && ms != 800 {
-			t.Fatalf("cell %d has min-fail %v outside tested intervals", id, ms)
-		}
-	}
-	weak := prof.WeakRows(800)
-	if weak.Len() == 0 || weak.Len() > g.RowsPerSubarray {
-		t.Fatalf("weak row count %d out of range", weak.Len())
-	}
-}
-
-func TestRetentionAllZeroVictimsNeverFail(t *testing.T) {
-	h := newHost(t, 8, 5, 50, 0, nil)
-	cfg := RetentionConfig{
-		Patterns:    []dram.DataPattern{dram.Pat00},
-		Trials:      1,
-		IntervalsMs: []float64{800},
-	}
-	prof, err := ProfileRetention(h, 0, 0, 31, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof.MinFailMs) != 0 {
-		t.Fatalf("all-0 true cells cannot fail retention, found %d", len(prof.MinFailMs))
-	}
 }
 
 func TestTimeToFirstBitflip(t *testing.T) {
@@ -256,7 +113,7 @@ func TestRunDisturbCDvsRetention(t *testing.T) {
 	agg := g.SubarrayBase(1) + 16
 	run := func(mode DisturbMode) map[int][]RowFlips {
 		h := newHost(t, 11, 5, 50, 0, nil)
-		f := &Filter{ExcludedRows: GuardRows(g, []int{agg}, 4), Cols: g.Cols}
+		f := &Filter{ExcludedRows: GuardRows(g, []int{agg}, 4)}
 		out, err := RunDisturb(h, DisturbConfig{
 			Bank: 0, AggRow: agg, Mode: mode,
 			AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
@@ -292,7 +149,7 @@ func TestRunDisturbTwoAggressor(t *testing.T) {
 	g := dram.SmallGeometry()
 	base := g.SubarrayBase(1)
 	h := newHost(t, 12, 5, 50, 0, nil)
-	f := &Filter{ExcludedRows: GuardRows(g, []int{base + 10, base + 20}, 4), Cols: g.Cols}
+	f := &Filter{ExcludedRows: GuardRows(g, []int{base + 10, base + 20}, 4)}
 	out, err := RunDisturb(h, DisturbConfig{
 		Bank: 0, AggRow: base + 10, AggRow2: base + 20, Mode: ModeTwoAggressor,
 		AggPattern: dram.Pat00, Agg2Pattern: dram.PatFF, VictimPattern: dram.PatFF,

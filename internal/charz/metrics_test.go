@@ -8,12 +8,6 @@ import (
 	"columndisturb/internal/dram"
 )
 
-func TestCellID(t *testing.T) {
-	if CellID(0, 0, 128) != 0 || CellID(1, 0, 128) != 128 || CellID(2, 5, 128) != 261 {
-		t.Fatal("CellID packing wrong")
-	}
-}
-
 func TestGuardRowsClipsToSubarray(t *testing.T) {
 	g := dram.SmallGeometry() // 32 rows per subarray
 	// Aggressor at the first row of subarray 1: the guard band must not
@@ -49,7 +43,7 @@ func TestDiffReadsDirections(t *testing.T) {
 	recs := []bender.ReadRecord{
 		mkRecord(3, dram.PatAA, []int{0, 1, 65}), // col0: 0→1, col1: 1→0, col65: 1→0
 	}
-	rows := DiffReads(recs, dram.PatAA, &Filter{Cols: 128})
+	rows := DiffReads(recs, dram.PatAA, &Filter{})
 	if len(rows) != 1 {
 		t.Fatalf("want 1 row summary, got %d", len(rows))
 	}
@@ -67,22 +61,10 @@ func TestDiffReadsRowExclusion(t *testing.T) {
 		mkRecord(3, dram.PatFF, []int{5}),
 		mkRecord(4, dram.PatFF, []int{6}),
 	}
-	f := &Filter{Cols: 128, ExcludedRows: bitset.Of(3)}
+	f := &Filter{ExcludedRows: bitset.Of(3)}
 	rows := DiffReads(recs, dram.PatFF, f)
 	if len(rows) != 1 || rows[0].Row != 4 {
 		t.Fatalf("row exclusion failed: %+v", rows)
-	}
-}
-
-func TestDiffReadsCellExclusion(t *testing.T) {
-	recs := []bender.ReadRecord{mkRecord(2, dram.PatFF, []int{5, 9})}
-	f := &Filter{
-		Cols:          128,
-		ExcludedCells: bitset.Of(int(CellID(2, 5, 128))),
-	}
-	rows := DiffReads(recs, dram.PatFF, f)
-	if rows[0].Flips != 1 || rows[0].ChunkFlips[0] != 1 {
-		t.Fatalf("cell exclusion failed: %+v", rows[0])
 	}
 }
 
@@ -100,21 +82,12 @@ func TestAggregateAndBlastRadius(t *testing.T) {
 		mkRecord(1, dram.PatFF, nil),
 		mkRecord(2, dram.PatFF, []int{7}),
 	}
-	tot := Aggregate(DiffReads(recs, dram.PatFF, &Filter{Cols: 128}))
+	tot := Aggregate(DiffReads(recs, dram.PatFF, &Filter{}))
 	if tot.Flips != 3 || tot.RowsWith != 2 || tot.RowsTested != 3 {
 		t.Fatalf("bad totals: %+v", tot)
 	}
 	if tot.OneToZero != 3 || tot.ZeroToOne != 0 {
 		t.Fatalf("bad directions: %+v", tot)
-	}
-	if frac := tot.FractionOfCells(128); frac != 3.0/(3*128) {
-		t.Fatalf("fraction %v", frac)
-	}
-}
-
-func TestFractionOfCellsEmpty(t *testing.T) {
-	if (Totals{}).FractionOfCells(128) != 0 {
-		t.Fatal("empty totals should have zero fraction")
 	}
 }
 
@@ -124,7 +97,7 @@ func TestChunkHistogramClamps(t *testing.T) {
 		mkRecord(1, dram.PatFF, []int{64}),
 		mkRecord(2, dram.PatFF, []int{64, 65, 66}),
 	}
-	rows := DiffReads(recs, dram.PatFF, &Filter{Cols: 128})
+	rows := DiffReads(recs, dram.PatFF, &Filter{})
 	hist := ChunkHistogram(rows, 15)
 	if hist[15] != 1 { // 18 clamps to 15
 		t.Fatalf("clamped bucket wrong: %v", hist)

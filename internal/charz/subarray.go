@@ -46,8 +46,7 @@ func SameSubarrayByRowClone(h *bender.Host, bank, src, dst int) (bool, error) {
 // RowClone-testing each adjacent logical row pair, returning the first row
 // of every subarray (always including row 0). It assumes subarrays occupy
 // contiguous logical ranges, which holds for the group-local scrambling
-// real mappings use; ExhaustivePartition drops that assumption and is
-// cross-checked against this scan in tests.
+// real mappings use.
 func ScanSubarrayBoundaries(h *bender.Host, bank int) ([]int, error) {
 	rows := h.Module().Geometry().RowsPerBank()
 	bounds := []int{0}
@@ -61,64 +60,4 @@ func ScanSubarrayBoundaries(h *bender.Host, bank int) ([]int, error) {
 		}
 	}
 	return bounds, nil
-}
-
-// ExhaustivePartition reverse engineers subarray membership by RowClone-
-// testing *every* source/destination pair of the first `rows` logical rows
-// (the paper's full methodology). It returns the partition as a list of
-// row groups. Quadratic in rows — intended for small banks and for
-// validating ScanSubarrayBoundaries.
-func ExhaustivePartition(h *bender.Host, bank, rows int) ([][]int, error) {
-	parent := make([]int, rows)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for src := 0; src < rows; src++ {
-		for dst := 0; dst < rows; dst++ {
-			if src == dst || find(src) == find(dst) {
-				continue
-			}
-			same, err := SameSubarrayByRowClone(h, bank, src, dst)
-			if err != nil {
-				return nil, err
-			}
-			if same {
-				parent[find(dst)] = find(src)
-			}
-		}
-	}
-	groups := make(map[int][]int)
-	var order []int
-	for r := 0; r < rows; r++ {
-		root := find(r)
-		if _, ok := groups[root]; !ok {
-			order = append(order, root)
-		}
-		groups[root] = append(groups[root], r)
-	}
-	out := make([][]int, 0, len(order))
-	for _, root := range order {
-		out = append(out, groups[root])
-	}
-	return out, nil
-}
-
-// SubarrayOfBoundaries returns the subarray index of a row given boundary
-// start rows from ScanSubarrayBoundaries.
-func SubarrayOfBoundaries(bounds []int, row int) int {
-	idx := 0
-	for i, b := range bounds {
-		if row >= b {
-			idx = i
-		}
-	}
-	return idx
 }

@@ -76,10 +76,6 @@ type Options struct {
 	// LeaseTTL is the worker heartbeat deadline (<= 0 selects 15s): a
 	// worker silent for longer is dropped and its leases requeue.
 	LeaseTTL time.Duration
-	// MaxRemoteAttempts bounds how many times a task may be requeued off
-	// lost workers before it is pinned to local execution (<= 0 selects 3).
-	// The pin only applies when local executors exist.
-	MaxRemoteAttempts int
 	// Metrics, when non-nil, receives the dispatcher's queue/lease metrics
 	// (nil creates a private registry, so recording sites never nil-check).
 	// Share one registry with the service to export everything at /v1/metrics.
@@ -117,6 +113,11 @@ type Dispatcher struct {
 }
 
 var _ engine.Backend = (*Dispatcher)(nil)
+
+// maxRemoteAttempts bounds how many times a task may be requeued off lost
+// workers before it is pinned to local execution. The pin only applies
+// when local executors exist.
+const maxRemoteAttempts = 3
 
 type taskState int
 
@@ -205,9 +206,6 @@ func New(opts Options) *Dispatcher {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 15 * time.Second
 	}
-	if opts.MaxRemoteAttempts <= 0 {
-		opts.MaxRemoteAttempts = 3
-	}
 	local := opts.LocalWorkers
 	if local <= 0 {
 		local = runtime.GOMAXPROCS(0)
@@ -263,9 +261,6 @@ func New(opts Options) *Dispatcher {
 // Workers implements engine.Backend: the local parallelism bound. Remote
 // capacity attaches and detaches at runtime; see RemoteWorkers.
 func (d *Dispatcher) Workers() int { return d.local }
-
-// LeaseTTL returns the effective worker heartbeat deadline.
-func (d *Dispatcher) LeaseTTL() time.Duration { return d.opts.LeaseTTL }
 
 // Busy reports the dispatcher's in-flight shard count: local executors
 // inside a shard plus outstanding remote leases. An instantaneous
@@ -472,7 +467,7 @@ func (d *Dispatcher) requeueLocked(w *workerState) {
 			continue
 		}
 		t.remoteAttempts++
-		if t.remoteAttempts >= d.opts.MaxRemoteAttempts && d.local > 0 {
+		if t.remoteAttempts >= maxRemoteAttempts && d.local > 0 {
 			t.localOnly = true
 		}
 		t.state = taskPending

@@ -23,8 +23,6 @@ type epoch struct {
 	rho          [4]float64
 }
 
-func (e *epoch) durNs() float64 { return e.toNs - e.fromNs }
-
 // Bank models one DRAM bank: row storage, open-row state, per-row restore
 // times, accumulated neighbour aggression (RowHammer/RowPress), and the
 // bitline exposure history used to evaluate ColumnDisturb at read time.
@@ -69,9 +67,6 @@ func newBank(geom Geometry, index int, params *faultmodel.Params, seed uint64) *
 		lastOpenRow: -1,
 	}
 }
-
-// OpenRow returns the currently open row, or -1 if the bank is precharged.
-func (b *Bank) OpenRow() int { return b.openRow }
 
 func (b *Bank) checkRow(row int) error {
 	if row < 0 || row >= b.geom.RowsPerBank() {

@@ -60,12 +60,6 @@ func (d *Device) Geometry() Geometry { return d.geom }
 // Timing returns the device timing parameters.
 func (d *Device) Timing() Timing { return d.timing }
 
-// Params returns the device's fault model parameters.
-func (d *Device) Params() *faultmodel.Params { return d.params }
-
-// Seed returns the module seed.
-func (d *Device) Seed() uint64 { return d.seed }
-
 // NowNs returns the device clock in nanoseconds.
 func (d *Device) NowNs() float64 { return d.nowNs }
 
@@ -85,8 +79,8 @@ func (d *Device) SetTemperature(tempC float64) { d.tempC = tempC }
 // Temperature returns the ambient temperature in °C.
 func (d *Device) Temperature() float64 { return d.tempC }
 
-// SetTrial selects the variable-retention-time trial index; the retention
-// profiler sweeps this to find each cell's minimum retention time.
+// SetTrial selects the variable-retention-time trial index; the TTF
+// bisection sweeps it across repeats to catch each cell at its worst.
 func (d *Device) SetTrial(trial int) { d.trial = trial }
 
 func (d *Device) bank(bank int) (*Bank, error) {
@@ -112,15 +106,6 @@ func (d *Device) Precharge(bank int) error {
 		return err
 	}
 	return b.precharge(d.nowNs)
-}
-
-// OpenRow returns the open row of a bank (-1 if precharged).
-func (d *Device) OpenRow(bank int) int {
-	b, err := d.bank(bank)
-	if err != nil {
-		return -1
-	}
-	return b.OpenRow()
 }
 
 // WriteRowPattern fills a row with the repeating data pattern and restores

@@ -77,9 +77,6 @@ func TestCommandStateMachine(t *testing.T) {
 	if err := d.Activate(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if d.OpenRow(0) != 5 {
-		t.Fatal("open row not tracked")
-	}
 	if err := d.Activate(0, 6); err == nil {
 		t.Fatal("ACT on open bank must fail")
 	}
@@ -87,8 +84,9 @@ func TestCommandStateMachine(t *testing.T) {
 	if err := d.Precharge(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.OpenRow(0) != -1 {
-		t.Fatal("bank should be precharged")
+	d.AdvanceNs(14)
+	if err := d.Activate(0, 6); err != nil {
+		t.Fatalf("ACT after PRE must succeed: %v", err)
 	}
 }
 

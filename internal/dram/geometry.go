@@ -54,18 +54,11 @@ func (g Geometry) WordsPerRow() int { return g.Cols / 64 }
 // SubarrayOf returns the subarray index of a bank-level physical row.
 func (g Geometry) SubarrayOf(row int) int { return row / g.RowsPerSubarray }
 
-// RowInSubarray returns the row's index within its subarray.
-func (g Geometry) RowInSubarray(row int) int { return row % g.RowsPerSubarray }
-
 // SubarrayBase returns the first bank-level row of subarray sub.
 func (g Geometry) SubarrayBase(sub int) int { return sub * g.RowsPerSubarray }
 
 // SameSubarray reports whether two bank-level rows share a subarray.
 func (g Geometry) SameSubarray(a, b int) bool { return g.SubarrayOf(a) == g.SubarrayOf(b) }
-
-// ChipOf returns the chip that owns column col (columns stripe across chips
-// in contiguous blocks).
-func (g Geometry) ChipOf(col int) int { return col / (g.Cols / g.Chips) }
 
 // SharedAggressorColumn implements the open-bitline column sharing of §2.1:
 // two neighbouring subarrays share half of their bitlines through the sense

@@ -34,7 +34,7 @@ func TestGeometryHelpers(t *testing.T) {
 	if g.WordsPerRow() != 2 {
 		t.Fatal("words per row wrong")
 	}
-	if g.SubarrayOf(17) != 1 || g.RowInSubarray(17) != 1 {
+	if g.SubarrayOf(17) != 1 {
 		t.Fatal("subarray addressing wrong")
 	}
 	if g.SubarrayBase(2) != 32 {
@@ -42,9 +42,6 @@ func TestGeometryHelpers(t *testing.T) {
 	}
 	if !g.SameSubarray(16, 31) || g.SameSubarray(15, 16) {
 		t.Fatal("SameSubarray wrong")
-	}
-	if g.ChipOf(0) != 0 || g.ChipOf(64) != 1 {
-		t.Fatal("chip striping wrong")
 	}
 }
 

@@ -13,8 +13,6 @@ type RowMapping interface {
 	Physical(logical int) int
 	// Logical is the inverse of Physical.
 	Logical(physical int) int
-	// Name identifies the scheme.
-	Name() string
 }
 
 // DirectMapping is the identity mapping.
@@ -22,7 +20,6 @@ type DirectMapping struct{}
 
 func (DirectMapping) Physical(l int) int { return l }
 func (DirectMapping) Logical(p int) int  { return p }
-func (DirectMapping) Name() string       { return "direct" }
 
 // GroupScramble permutes row addresses within aligned groups of 2^GroupBits
 // rows — the shape of several published DDR4 vendor mappings, where rows
@@ -61,32 +58,6 @@ func (g *GroupScramble) Logical(p int) int {
 	return p&^mask | g.inverse[p&mask]
 }
 
-func (g *GroupScramble) Name() string { return "group-scramble" }
-
-// XorFold XORs the low address bits with a function of a higher bit:
-// physical = logical ^ (Mask if bit SelectBit of logical is set). Because
-// the mask never touches SelectBit itself, the transform is an involution
-// and trivially bijective. This models vendor mappings where the low bits
-// are conditionally inverted in alternating blocks.
-type XorFold struct {
-	SelectBit int
-	Mask      int
-}
-
-func (x XorFold) Physical(l int) int {
-	if x.Mask&(1<<x.SelectBit) != 0 {
-		panic("dram: XorFold mask must not include its select bit")
-	}
-	if l&(1<<x.SelectBit) != 0 {
-		return l ^ x.Mask
-	}
-	return l
-}
-
-func (x XorFold) Logical(p int) int { return x.Physical(p) } // involution
-
-func (x XorFold) Name() string { return "xor-fold" }
-
 // Module couples a Device with the logical row addressing a host sees. All
 // bender programs address rows logically; characterization code that wants
 // physical adjacency must reverse engineer (or be told) the mapping.
@@ -119,9 +90,4 @@ func (m *Module) ReadLogical(bank, logicalRow int) ([]uint64, error) {
 // WriteLogicalPattern fills a logical row with a data pattern.
 func (m *Module) WriteLogicalPattern(bank, logicalRow int, p DataPattern) error {
 	return m.Device.WriteRowPattern(bank, m.mapping.Physical(logicalRow), p)
-}
-
-// HammerLogical hammers a logical row.
-func (m *Module) HammerLogical(bank, logicalRow, numActs int, tAggOnNs, tRPNs float64) error {
-	return m.Device.Hammer(bank, m.mapping.Physical(logicalRow), numActs, tAggOnNs, tRPNs)
 }

@@ -54,33 +54,6 @@ func TestGroupScrambleRejectsInvalidPerm(t *testing.T) {
 	}
 }
 
-func TestXorFoldInvolution(t *testing.T) {
-	x := XorFold{SelectBit: 3, Mask: 0b110}
-	f := func(raw uint16) bool {
-		l := int(raw)
-		return x.Logical(x.Physical(l)) == l
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Rows with bit 3 set get their bits 1-2 flipped.
-	if x.Physical(0b1000) != 0b1110 {
-		t.Fatalf("Physical(8) = %#b", x.Physical(0b1000))
-	}
-	if x.Physical(0b0001) != 0b0001 {
-		t.Fatal("rows without the select bit must be unmapped")
-	}
-}
-
-func TestXorFoldPanicsOnSelfMask(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mask covering the select bit must panic")
-		}
-	}()
-	XorFold{SelectBit: 1, Mask: 0b10}.Physical(2)
-}
-
 func TestModuleLogicalAddressing(t *testing.T) {
 	g := SmallGeometry()
 	d, err := NewDevice(g, testParams(g), DDR4Timing(), 21)
@@ -121,7 +94,7 @@ func TestModuleDefaultsToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModule(d, nil)
-	if m.Mapping().Name() != "direct" {
+	if _, ok := m.Mapping().(DirectMapping); !ok {
 		t.Fatal("nil mapping should default to direct")
 	}
 }

@@ -45,19 +45,3 @@ func HBM2Timing() Timing {
 		RowCloneViolationNs: 6,
 	}
 }
-
-// DDR5Timing returns nominal DDR5 timings for a 32 Gb device (used by the
-// §6.1 mitigation arithmetic: tRFC = 410 ns, REFab every 3.9 µs at the
-// default 32 ms refresh period).
-func DDR5Timing() Timing {
-	return Timing{
-		TRCDns:              14,
-		TRPns:               14,
-		TRASns:              32,
-		TRCns:               46,
-		TRFCns:              410,
-		TREFIs:              3.9e-6,
-		TREFWms:             32,
-		RowCloneViolationNs: 6,
-	}
-}

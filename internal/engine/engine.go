@@ -99,9 +99,8 @@ type RemoteSpec struct {
 	// performs whatever bookkeeping Run would have done around the
 	// computation (cache fill, progress events), returning the shard's
 	// value. from names the worker that executed the shard; elapsed is the
-	// lease→complete wall time the backend observed, which cost-learning
-	// callers may record (it includes queueing on the worker and transport,
-	// making it exactly the latency a scheduler wants to predict).
+	// lease→complete wall time the backend observed (it includes queueing
+	// on the worker and transport).
 	Accept func(from string, elapsed time.Duration, reply []byte) (any, error)
 }
 

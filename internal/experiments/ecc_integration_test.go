@@ -37,7 +37,6 @@ func TestOnDieECCEndToEnd(t *testing.T) {
 		Subarrays: []int{0, 1, 2},
 	}, &charz.Filter{
 		ExcludedRows: charz.GuardRows(g, []int{agg}, 4),
-		Cols:         g.Cols,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,8 +42,6 @@ type Config struct {
 	// (outstanding misses per core) in memsim-based experiments; 0 keeps
 	// the memsim default.
 	MLP int
-	// Trials for the cell-explicit retention filtering methodology.
-	RetentionTrials int
 	// MaxShardShare bounds one shard's share of its plan's total estimated
 	// cost: plan builders subdivide any shard whose cost hint would exceed
 	// MaxShardShare × the plan total (see split.go). 0 selects the default
@@ -66,7 +64,6 @@ func Small() Config {
 		MeasureInstr:       40_000,
 		CellRows:           128,
 		CellCols:           256,
-		RetentionTrials:    3,
 		Seed:               1,
 	}
 }
@@ -80,7 +77,6 @@ func Full() Config {
 		MeasureInstr:       100_000,
 		CellRows:           512,
 		CellCols:           512,
-		RetentionTrials:    10,
 		Seed:               1,
 	}
 }
@@ -129,10 +125,6 @@ func (c Config) Digest() string {
 	h.Write([]byte{0})
 	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-func (c Config) rand(stream uint64) *rng.Rand {
-	return rng.New(rng.Key(c.Seed, stream))
 }
 
 // shardRand derives the RNG stream for one shard of an experiment: a pure

@@ -71,7 +71,6 @@ func planFig21(cfg Config) (*Plan, error) {
 						Subarrays: []int{0, 1, 2},
 					}, &charz.Filter{
 						ExcludedRows: charz.GuardRows(g, []int{agg}, 4),
-						Cols:         g.Cols,
 					})
 					if err != nil {
 						return nil, err

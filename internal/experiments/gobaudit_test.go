@@ -20,7 +20,6 @@ func auditConfig() Config {
 		MeasureInstr:       2_000,
 		CellRows:           16,
 		CellCols:           64,
-		RetentionTrials:    1,
 		Seed:               3,
 	}
 }

@@ -54,14 +54,13 @@ func TestApplyOverridesEveryKey(t *testing.T) {
 		"measure-instr":        "123456",
 		"cell-rows":            "64",
 		"cell-cols":            "96",
-		"retention-trials":     "2",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Config{
 		SubarraysPerModule: 7, TTFSamples: 11, Mixes: 5, MeasureInstr: 123456,
-		CellRows: 64, CellCols: 96, RetentionTrials: 2, Seed: 99,
+		CellRows: 64, CellCols: 96, Seed: 99,
 	}
 	if got != want {
 		t.Fatalf("ApplyOverrides = %+v, want %+v", got, want)
@@ -115,6 +114,10 @@ func TestResolveConfig(t *testing.T) {
 	}
 	if _, err := ResolveConfig("small", map[string]string{"bad": "1"}); err == nil {
 		t.Fatal("bad override accepted")
+	}
+	_, err = ResolveConfig("small", map[string]string{"retention-trials": "2"})
+	if err == nil || !strings.Contains(err.Error(), `unknown override "retention-trials"`) {
+		t.Fatalf("retention-trials override: %v, want unknown-key error", err)
 	}
 	// Same resolution ⇒ same digest: the property remote/local cache
 	// sharing rests on.

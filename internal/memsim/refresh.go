@@ -36,7 +36,6 @@ type schedule struct {
 	periodNs float64
 	busyNs   float64
 	offsetNs float64
-	allBanks bool
 }
 
 func (s schedule) nextFree(t float64) float64 {

@@ -27,15 +27,6 @@ type RunResult struct {
 	RefStalls int64 // commands delayed by a refresh occupancy window
 }
 
-// TotalIPC sums the cores' measured IPC.
-func (r RunResult) TotalIPC() float64 {
-	s := 0.0
-	for _, c := range r.Cores {
-		s += c.IPC
-	}
-	return s
-}
-
 // maxMPKI bounds the workload's miss intensity at one last-level-cache miss
 // per instruction. Beyond it the instruction gap between misses drops below
 // one, which has no microarchitectural meaning — and under the old integer
@@ -260,37 +251,6 @@ func WeightedSpeedup(cfg SystemConfig, mix []CoreWorkload, refresh RefreshEngine
 		shared[i] = c.IPC
 	}
 	return WeightedSpeedupFrom(shared, soloIPC), res, nil
-}
-
-// EnergyModel converts run statistics into DRAM energy (pJ-scale numbers
-// from typical DDR4 datasheets; only *relative* energy across refresh
-// policies matters here).
-type EnergyModel struct {
-	ActPJ        float64 // per activate/precharge pair
-	RWPJ         float64 // per read/write burst
-	RowRefPJ     float64 // per row-granular refresh
-	REFabPJ      float64 // per all-bank refresh command
-	BackgroundMW float64 // static background power
-}
-
-// DefaultEnergy returns DDR4-class energy constants.
-func DefaultEnergy() EnergyModel {
-	return EnergyModel{ActPJ: 170, RWPJ: 110, RowRefPJ: 170, REFabPJ: 12000, BackgroundMW: 100}
-}
-
-// Energy returns the run's DRAM energy in nanojoules under the engine's
-// refresh schedule: the ACT/PRE and RD/WR command counts come straight from
-// the command stream, the refresh operation counts from the engine's
-// schedule rates over the simulated interval.
-func (m EnergyModel) Energy(res RunResult, refresh RefreshEngine, cfg SystemConfig) float64 {
-	st := refresh.Stats()
-	secs := res.ElapsedNs * 1e-9
-	refOps := st.AllBankPerSec * secs
-	rowOps := st.RowPerSecPerBank * float64(cfg.Banks) * secs
-	pj := float64(res.Acts)*m.ActPJ +
-		float64(res.Reads+res.Writes)*m.RWPJ +
-		rowOps*m.RowRefPJ + refOps*m.REFabPJ
-	return pj*1e-3 + m.BackgroundMW*1e-3*res.ElapsedNs // nJ
 }
 
 // Deterministic seed helper for experiment reproducibility.

@@ -80,7 +80,11 @@ func TestRefreshDegradesIPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.TotalIPC()
+		total := 0.0
+		for _, c := range res.Cores {
+			total += c.IPC
+		}
+		return total
 	}
 	none := ipc(NoRefresh())
 	p64, _ := PeriodicRefresh(cfg, 64)
@@ -283,25 +287,6 @@ func TestNormalizedRefreshOps(t *testing.T) {
 			t.Fatal("refresh ops must grow with weak fraction")
 		}
 		prev = v
-	}
-}
-
-func TestEnergyAccounting(t *testing.T) {
-	cfg := smallSys()
-	mix := Mixes(7)[6]
-	em := DefaultEnergy()
-	run := func(e RefreshEngine) float64 {
-		res, err := Run(cfg, mix, e, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return em.Energy(res, e, cfg)
-	}
-	none := run(NoRefresh())
-	p8, _ := PeriodicRefresh(cfg, 8)
-	at8 := run(p8)
-	if at8 <= none {
-		t.Fatalf("aggressive refresh must cost energy: %v vs %v", at8, none)
 	}
 }
 

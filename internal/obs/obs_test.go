@@ -14,13 +14,17 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Dec()
-	g.Add(-2)
-	g.Inc()
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	// A gauge mirrors a value someone else owns; re-registering replaces
+	// its callback.
+	r := NewRegistry()
+	r.GaugeFunc("g", "", func() float64 { return 7 })
+	r.GaugeFunc("g", "", func() float64 { return 5 })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ng 5\n") {
+		t.Fatalf("gauge export lacks the replacement value:\n%s", b.String())
 	}
 }
 
@@ -56,13 +60,13 @@ func TestRegistryGetOrCreate(t *testing.T) {
 			t.Fatal("re-registering as a different type did not panic")
 		}
 	}()
-	r.Gauge("x_total", "help")
+	r.GaugeFunc("x_total", "help", func() float64 { return 0 })
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cd_jobs_total", "jobs\nwith newline").Add(3)
-	r.Gauge("cd_active", "active").Set(2)
+	r.GaugeFunc("cd_active", "active", func() float64 { return 2 })
 	r.Histogram("cd_ms", "latency", []float64{1, 10}).Observe(4)
 	r.CounterVec("cd_tasks_total", "per worker", "worker").With(`w"1\x`).Inc()
 	r.GaugeFunc("cd_depth", "queue depth", func() float64 { return 1.5 })
@@ -97,7 +101,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 // TestRegistryRaceStress hammers one registry from many goroutines —
-// increments, observations, vec-child creation, and concurrent exports —
+// increments, observations, vec-child creation, gauge callback
+// replacement, and concurrent exports —
 // and relies on -race (ci.sh runs the suite race-enabled) to flag any
 // unsynchronized access.
 func TestRegistryRaceStress(t *testing.T) {
@@ -110,12 +115,12 @@ func TestRegistryRaceStress(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			c := r.Counter("stress_total", "")
-			g := r.Gauge("stress_gauge", "")
 			h := r.Histogram("stress_ms", "", nil)
 			v := r.CounterVec("stress_tasks_total", "", "worker")
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				n := float64(i)
+				r.GaugeFunc("stress_gauge", "", func() float64 { return n })
 				h.Observe(float64(i % 97))
 				v.With(string(rune('a' + id))).Inc()
 			}
@@ -155,27 +160,6 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Fatal("unknown level accepted")
-	}
-}
-
-func TestCallbackLogger(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	log := NewCallbackLogger(0, func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", "")+sprint(args...)))
-	})
-	log.With("worker", "w1").Info("leased task", "shard", "fig6/arm=0")
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1", len(lines))
-	}
-	for _, want := range []string{"INFO", "leased task", "worker=w1", "shard=fig6/arm=0"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("line %q missing %q", lines[0], want)
-		}
 	}
 }
 

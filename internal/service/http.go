@@ -16,10 +16,9 @@ import (
 	"columndisturb/internal/experiments"
 )
 
-// Handler exposes the service over HTTP (`cdlab serve`). The versioned
-// /v1 prefix is the supported API — the one the client package
-// (RemoteRunner) speaks — and the bare legacy paths remain as aliases for
-// seed-era consumers:
+// Handler exposes the service over HTTP (`cdlab serve`). Every route
+// lives under the versioned /v1 prefix — the API the client package
+// (RemoteRunner) speaks; unversioned paths are not served:
 //
 //	GET    /v1/experiments           list runnable experiments
 //	GET    /v1/profiles              list named configuration profiles
@@ -55,14 +54,9 @@ import (
 // marshal the same types, so the codec cannot drift.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"", "/v1"} {
-		prefix := prefix
-		mux.HandleFunc(prefix+"/experiments", s.handleExperiments)
-		mux.HandleFunc(prefix+"/jobs", s.handleJobs)
-		mux.HandleFunc(prefix+"/jobs/", func(w http.ResponseWriter, r *http.Request) {
-			s.handleJob(w, r, prefix+"/jobs/")
-		})
-	}
+	mux.HandleFunc("/v1/experiments", s.handleExperiments)
+	mux.HandleFunc("/v1/jobs", s.handleJobs)
+	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/v1/profiles", s.handleProfiles)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	if s.opts.Dispatcher != nil {
@@ -242,9 +236,9 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJob routes <prefix><id>[/events|/report].
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request, prefix string) {
-	rest := strings.TrimPrefix(r.URL.Path, prefix)
+// handleJob routes /v1/jobs/<id>[/events|/report|/trace].
+func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
+	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id, sub, _ := strings.Cut(rest, "/")
 	j, ok := s.Job(id)
 	if !ok {

@@ -17,13 +17,13 @@ import (
 func postJob(t *testing.T, base, id string) JobStatus {
 	t.Helper()
 	body, _ := json.Marshal(JobSpec{Experiment: id})
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %s", resp.Status)
+		t.Fatalf("POST /v1/jobs: %s", resp.Status)
 	}
 	var st JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -48,7 +48,7 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 
 	// The event stream replays from Seq 0 and closes after the terminal
 	// event.
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s/events", srv.URL, st.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 	checkEventStream(t, events, -1)
 
 	// Report, JSON first.
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/report", srv.URL, st.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s/report", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 	}
 
 	// Text rendering.
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/report?format=text", srv.URL, st.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s/report?format=text", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestHTTPConcurrentSubmissions(t *testing.T) {
 	}
 
 	// The listing reports both jobs done.
-	resp, err := http.Get(srv.URL + "/jobs")
+	resp, err := http.Get(srv.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestHTTPConcurrentSubmissions(t *testing.T) {
 }
 
 // TestHTTPErrors covers the failure paths: bad spec, unknown experiment,
-// unknown job, report on an unfinished job.
+// unknown job, unversioned paths, report on an unfinished job.
 func TestHTTPErrors(t *testing.T) {
 	started := make(chan string, 4)
 	release := make(chan struct{})
@@ -175,11 +175,15 @@ func TestHTTPErrors(t *testing.T) {
 		method, path, body string
 		wantCode           int
 	}{
-		{"POST", "/jobs", "{not json", http.StatusBadRequest},
-		{"POST", "/jobs", `{"experiment":"nope"}`, http.StatusBadRequest},
-		{"GET", "/jobs/job-999", "", http.StatusNotFound},
-		{"GET", "/jobs/job-999/events", "", http.StatusNotFound},
-		{"PUT", "/jobs", "", http.StatusMethodNotAllowed},
+		{"POST", "/v1/jobs", "{not json", http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"experiment":"nope"}`, http.StatusBadRequest},
+		{"GET", "/v1/jobs/job-999", "", http.StatusNotFound},
+		{"GET", "/v1/jobs/job-999/events", "", http.StatusNotFound},
+		{"PUT", "/v1/jobs", "", http.StatusMethodNotAllowed},
+		// Only /v1 is served.
+		{"GET", "/jobs", "", http.StatusNotFound},
+		{"POST", "/jobs", `{"experiment":"fig6"}`, http.StatusNotFound},
+		{"GET", "/experiments", "", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -198,7 +202,7 @@ func TestHTTPErrors(t *testing.T) {
 	// Report on a still-running job: 409 with a pointer to the stream.
 	st := postJob(t, srv.URL, "svc-test-http-block")
 	<-started
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s/report", srv.URL, st.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/report", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

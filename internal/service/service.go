@@ -131,7 +131,6 @@ type Service struct {
 	opts    Options
 	backend engine.Backend
 	codec   cache.Codec
-	costs   costModel // learned shard wall times, keyed by shard label
 	log     *slog.Logger
 	journal *Journal
 
@@ -298,19 +297,6 @@ func (s *Service) Metrics() *obs.Registry { return s.metrics }
 
 // Workers returns the shard backend's local parallelism bound.
 func (s *Service) Workers() int { return s.backend.Workers() }
-
-// Dispatcher returns the distributed backend (nil when the service runs on
-// a plain in-process pool).
-func (s *Service) Dispatcher() *dispatch.Dispatcher { return s.opts.Dispatcher }
-
-// CacheStats returns the result cache's counters (zero Stats when caching
-// is disabled).
-func (s *Service) CacheStats() cache.Stats {
-	if s.opts.Cache == nil {
-		return cache.Stats{}
-	}
-	return s.opts.Cache.Stats()
-}
 
 // Close cancels every running job, waits for them to settle and releases
 // the pool. Jobs still queued are failed with context.Canceled. With a
@@ -1125,11 +1111,9 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 	}
 	wrapped := engine.Shard{
 		Label: label,
-		// The plan's static estimate, overridden by the learned wall time
-		// once this label has run anywhere — a warm rerun reorders its
-		// queue on evidence. Cost is a hint to cost-aware backends only; it
-		// never reaches the result or its digest.
-		Cost: s.costs.costFor(label, sh.Cost),
+		// The plan's static estimate. Cost is a hint to cost-aware
+		// backends only; it never reaches the result or its digest.
+		Cost: sh.Cost,
 		Span: span,
 		Run: func(ctx context.Context) (any, error) {
 			if v, ok := probe(); ok {
@@ -1147,7 +1131,6 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 				return nil, err
 			}
 			elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)
-			s.costs.observe(label, elapsedMs)
 			if useCache {
 				if data, err := s.codec.Encode(v); err == nil {
 					// Spill failures only cost future hits.
@@ -1187,11 +1170,8 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 				return nil, fmt.Errorf("service: %s: decode worker reply: %w", label, err)
 			}
 			// The dispatcher's lease→complete measurement includes transport
-			// and worker-side queueing — exactly the latency a scheduler
-			// wants to predict, so it feeds the same learned-cost table as
-			// local runs.
+			// and worker-side queueing.
 			elapsedMs := float64(elapsed) / float64(time.Millisecond)
-			s.costs.observe(label, elapsedMs)
 			if useCache {
 				// The reply IS the codec's encoding — store it verbatim,
 				// so local and remote fills are byte-identical entries.

@@ -165,28 +165,3 @@ func (r *Rand) Binomial(n int, p float64) int {
 		return k
 	}
 }
-
-// Poisson samples from Poisson(lambda) using Knuth's method for small
-// lambda and a clamped normal approximation for large lambda.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	k := int(math.Round(lambda + math.Sqrt(lambda)*r.Norm()))
-	if k < 0 {
-		k = 0
-	}
-	return k
-}

@@ -154,20 +154,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestLogNormalMedian(t *testing.T) {
-	r := New(17)
-	const n = 100001
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = r.LogNormal(2, 0.5)
-	}
-	// Median of lognormal(mu, sigma) is exp(mu).
-	med := quickSelectMedian(vals)
-	if math.Abs(math.Log(med)-2) > 0.05 {
-		t.Fatalf("lognormal median log %v too far from 2", math.Log(med))
-	}
-}
-
 func quickSelectMedian(v []float64) float64 {
 	// Simple selection via partial sort; n is small enough.
 	k := len(v) / 2
@@ -197,19 +183,4 @@ func quickSelectMedian(v []float64) float64 {
 		}
 	}
 	return v[k]
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	r := New(3)
-	a := r.Fork(1)
-	b := r.Fork(2)
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("forked streams correlated: %d identical values", same)
-	}
 }

@@ -6,7 +6,7 @@
 //
 // The contract, in order of importance:
 //
-//   - A record acknowledged by Sync (or AppendSync) survives a crash.
+//   - A record acknowledged by AppendSync survives a crash.
 //   - Replay never invents records: a frame is returned only when its
 //     length, checksum and segment header all verify.
 //   - A torn tail — the partially written frame a SIGKILL leaves at the
@@ -15,11 +15,11 @@
 //     it means lost history, not an interrupted write, and the caller
 //     must decide, not guess.
 //
-// Writes are buffered; Sync is a group commit. Concurrent appenders pile
-// records into one buffered writer, and the first Sync caller flushes and
-// fsyncs for everyone who appended before it — under fan-in (many Submits
-// racing) the log coalesces their durability barriers into one disk
-// flush, the classic group-commit shape.
+// Writes are buffered; AppendSync is a group commit. Concurrent appenders
+// pile records into one buffered writer, and the first AppendSync caller
+// flushes and fsyncs for everyone who appended before it — under fan-in
+// (many Submits racing) the log coalesces their durability barriers into one
+// disk flush, the classic group-commit shape.
 //
 // Segments rotate at MaxSegmentBytes. Open never appends to an existing
 // segment: it replays them read-only and starts a fresh one, so a replay
@@ -268,9 +268,9 @@ func appendFrame(buf []byte, r Record) []byte {
 	return append(buf, payload...)
 }
 
-// Append buffers one record. It is NOT durable until a Sync (or rotation,
-// or Close) covers it — callers journaling a must-survive transition use
-// AppendSync.
+// Append buffers one record. It is NOT durable until a later AppendSync
+// (or rotation, or Close) covers it — callers journaling a must-survive
+// transition use AppendSync.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -313,14 +313,6 @@ func (l *Log) appendLocked(r Record) error {
 	l.stats.Records++
 	l.stats.Bytes += n
 	return nil
-}
-
-// Sync makes every record appended before the call durable. Concurrent
-// callers group-commit: one fsync covers all of them.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
 }
 
 // AppendSync appends one record and waits for it to be durable.
@@ -440,9 +432,6 @@ func (l *Log) Stats() Stats {
 	st.Segments = len(l.inherited) + 1
 	return st
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.opts.Dir }
 
 // Close flushes, fsyncs and closes the log. Records appended before Close
 // are durable when it returns nil.
