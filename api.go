@@ -40,10 +40,6 @@ type Request struct {
 	// profile, e.g. {"seed": "7", "subarrays-per-module": "8"}. Keys and
 	// values are validated before any work starts; see OverrideKeys.
 	Overrides map[string]string
-	// Workers bounds shard parallelism for runners that execute locally
-	// (<= 0 selects the runner's default, normally GOMAXPROCS). A remote
-	// runner ignores it: the server's pool is sized by `cdlab serve -j`.
-	Workers int
 	// NoCache bypasses the shard-result cache for this request: every
 	// shard recomputes and nothing is stored.
 	NoCache bool
@@ -184,9 +180,8 @@ type CacheStats struct {
 
 // LocalOptions configures a LocalRunner.
 type LocalOptions struct {
-	// Workers sizes the shared worker pool (<= 0 defers to the first
-	// request's Workers, then GOMAXPROCS). With Dispatch it sizes the
-	// dispatcher's local executors instead.
+	// Workers sizes the shared worker pool (<= 0 selects GOMAXPROCS).
+	// With Dispatch it sizes the dispatcher's local executors instead.
 	Workers int
 	// MaxActiveJobs bounds how many jobs run concurrently (0 = unlimited).
 	MaxActiveJobs int
@@ -252,9 +247,8 @@ type LocalRunner struct {
 }
 
 // NewLocalRunner creates a runner. The worker pool itself is created
-// lazily by the first Run (or Handler) call, sized by LocalOptions.Workers
-// first, that request's Workers second, GOMAXPROCS otherwise; later
-// requests share it.
+// lazily by the first Run (or Handler) call, sized by LocalOptions.Workers;
+// later requests share it.
 func NewLocalRunner(opts LocalOptions) (*LocalRunner, error) {
 	r := &LocalRunner{opts: opts}
 	if opts.CacheDir != "" || opts.CacheEntries > 0 || opts.CacheMaxBytes > 0 {
@@ -272,17 +266,13 @@ func NewLocalRunner(opts LocalOptions) (*LocalRunner, error) {
 }
 
 // ensureService creates the underlying service on first use.
-func (r *LocalRunner) ensureService(reqWorkers int) (*service.Service, error) {
+func (r *LocalRunner) ensureService() (*service.Service, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil, fmt.Errorf("columndisturb: runner is closed")
 	}
 	if r.svc == nil {
-		workers := r.opts.Workers
-		if workers <= 0 {
-			workers = reqWorkers
-		}
 		// One registry spans the whole serve plane — dispatcher queue/lease
 		// metrics and service job/shard/cache metrics export together at
 		// GET /v1/metrics.
@@ -290,7 +280,7 @@ func (r *LocalRunner) ensureService(reqWorkers int) (*service.Service, error) {
 		var d *dispatch.Dispatcher
 		if r.opts.Dispatch {
 			d = dispatch.New(dispatch.Options{
-				LocalWorkers: workers,
+				LocalWorkers: r.opts.Workers,
 				NoLocal:      r.opts.NoLocalShards,
 				LeaseTTL:     r.opts.LeaseTTL,
 				Metrics:      reg,
@@ -310,20 +300,16 @@ func (r *LocalRunner) ensureService(reqWorkers int) (*service.Service, error) {
 			}
 		}
 		opts := service.Options{
-			Workers:       workers,
+			Workers:       r.opts.Workers,
 			MaxActiveJobs: r.opts.MaxActiveJobs,
 			Dispatcher:    d,
 			RetainJobs:    r.opts.RetainJobs,
+			Cache:         r.store,
 			Journal:       jn,
 			AuthToken:     r.opts.AuthToken,
 			OnEvent:       r.subs.Emit,
 			Metrics:       reg,
 			Logger:        r.opts.Logger,
-		}
-		if r.store != nil {
-			// Assigned conditionally: a nil *cache.Store in the Backend
-			// interface field would read as "caching enabled" to the service.
-			opts.Cache = r.store
 		}
 		r.svc = service.New(opts)
 		r.svc.Recover(recovered)
@@ -364,7 +350,7 @@ func (r *LocalRunner) CacheStats() CacheStats {
 // (submit, status, event streams with replay, reports). `cdlab serve` is
 // this handler behind http.ListenAndServe.
 func (r *LocalRunner) Handler() (http.Handler, error) {
-	svc, err := r.ensureService(0)
+	svc, err := r.ensureService()
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +413,7 @@ func (r *LocalRunner) Run(ctx context.Context, req Request) (*Result, error) {
 	if _, err := experiments.ResolveConfig(req.Profile, req.Overrides); err != nil {
 		return nil, err
 	}
-	svc, err := r.ensureService(req.Workers)
+	svc, err := r.ensureService()
 	if err != nil {
 		return nil, err
 	}

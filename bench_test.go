@@ -319,32 +319,6 @@ func BenchmarkMemsimCommandLoopNoRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSplitPlan measures adaptive shard splitting itself: plan
-// construction for every split-capable experiment under an aggressive
-// cost-share budget, i.e. cost estimation + atom packing + sub-shard
-// labelling, without running any shard.
-func BenchmarkShardSplitPlan(b *testing.B) {
-	cfg := experiments.Small()
-	cfg.MaxShardShare = 0.004
-	ids := []string{"fig11", "fig13", "fig15", "fig23", "ttf"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range ids {
-			e, ok := experiments.ByID(id)
-			if !ok {
-				b.Fatalf("experiment %s missing", id)
-			}
-			plan, err := e.Plan(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(plan.Shards) == 0 {
-				b.Fatal("empty plan")
-			}
-		}
-	}
-}
-
 // BenchmarkDiffReadsFiltered measures the readout diff hot loop — word-XOR
 // flip extraction plus guard-band row filtering — over a 128-row, 1024-
 // column read with a sparse sprinkle of flips, the shape every

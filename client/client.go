@@ -23,8 +23,7 @@
 // across disconnects. Cancelling the Run context cancels the server-side
 // jobs (DELETE /v1/jobs/<id>) before returning ctx.Err().
 //
-// Request.Workers is ignored by this runner: shard parallelism is the
-// server pool's, sized by `cdlab serve -j`.
+// Shard parallelism is the server pool's, sized by `cdlab serve -j`.
 package client
 
 import (

@@ -166,9 +166,6 @@ func TestFormerlySerialExperimentsDistributed(t *testing.T) {
 		Overrides: map[string]string{
 			"mixes": "1", "measure-instr": "4000", "subarrays-per-module": "2",
 			"ttf-samples": "4", "cell-rows": "32", "cell-cols": "64",
-			// Force aggressive sub-shard splitting so the distributed and
-			// warm-cache byte-identity assertions cover split plans too.
-			"max-shard-share": "0.02",
 		},
 	}
 	var shardEvents, cachedEvents atomic.Int64

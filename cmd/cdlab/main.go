@@ -363,7 +363,6 @@ func runExperiments(args []string) int {
 		Experiments: ids,
 		Profile:     *profile,
 		Overrides:   overrides,
-		Workers:     *workers,
 		NoCache:     *noCache,
 	})
 	if res == nil {

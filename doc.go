@@ -51,16 +51,10 @@
 // under (experiment, config digest, canonical shard label), so output is
 // bit-identical for every worker count, every placement (local,
 // distributed, mid-run worker loss), and warm or cold caches — there is no
-// serial special case. Shards additionally carry cost estimates (static
-// plan hints in estimated single-core milliseconds) that the dispatcher
-// uses for largest-first lease ordering (DESIGN.md §12); costs steer
-// scheduling only and never change results.
-// Plan builders also consume their own hints: a shard whose estimate
-// exceeds a configurable share of the plan total (Config.MaxShardShare,
-// default 10%) is subdivided along its atom list — runs, blast cells,
-// sample chunks — into range-labelled sub-shards with per-atom RNG
-// streams, so the dominant shard can no longer serialize a sweep's tail
-// (DESIGN.md §16).
+// serial special case. Plans shard along the paper's characterization
+// groups (manufacturer × temperature × pattern, module by module), and
+// the dispatcher leases shards in submission order, interrupted work
+// first (DESIGN.md §12).
 //
 // A serve process is durable (DESIGN.md §14): with LocalOptions.WALDir
 // (or `cdlab serve -cache-dir`, which defaults the WAL next to the cache)

@@ -17,8 +17,8 @@
 // process restarts by rebuilding its accounting from a directory scan).
 // Disk entries are checksummed; a corrupted or truncated file is treated
 // as a miss, deleted to reclaim its bytes, and silently repaired by the
-// next Put, never surfaced as an error. Values are opaque bytes — encoding
-// is the caller's business (see Codec and Gob).
+// next Put, never surfaced as an error. Values are opaque bytes; Encode
+// and Decode are the gob encoding every shard result is stored in.
 package cache
 
 import (
@@ -149,21 +149,6 @@ func New(opts Options) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Backend is the store interface the service caches shard results
-// through. *Store is the in-process implementation; the seam exists so a
-// replica fleet can later share one content-addressed backend (a network
-// store satisfying the same three methods) without touching the service.
-// Implementations must be safe for concurrent use and treat Get misses
-// and Put failures as performance events, not errors — the service
-// recomputes on a miss and drops the fill on a failed Put.
-type Backend interface {
-	Get(k Key) ([]byte, bool)
-	Put(k Key, data []byte) error
-	Stats() Stats
-}
-
-var _ Backend = (*Store)(nil)
 
 // Get returns the cached bytes for k, consulting memory first and then the
 // on-disk level. The second result is false on a miss (including corrupted
@@ -469,33 +454,22 @@ func (s *Store) writeDisk(k Key, digest string, data []byte) error {
 	return nil
 }
 
-// Codec turns shard results into cacheable bytes and back. Implementations
-// must round-trip values exactly: the service's byte-identical-report
-// guarantee rests on Decode(Encode(v)) being indistinguishable from v to
-// the experiment's merge step.
-type Codec interface {
-	Encode(v any) ([]byte, error)
-	Decode(data []byte) (any, error)
-}
-
-// Gob is the default Codec: encoding/gob behind an interface envelope, so
-// one codec serves every experiment. Each experiment registers the
-// concrete type of its shard results once via RegisterType (gob needs the
-// type name ↔ type mapping on both ends).
-type Gob struct{}
-
-// RegisterType records a concrete shard-result type with the gob codec.
+// RegisterType records a concrete shard-result type with the gob encoding.
 // Call it from the experiment's init alongside registration; encoding an
 // unregistered type is an error surfaced by Encode. Every experiment's
-// parts must round-trip this codec — the cache, the remote worker reply
+// parts must round-trip this encoding — the cache, the remote worker reply
 // path and the merge all depend on it — and the registry-wide audit test
 // (TestShardPartsGobEncodable in internal/experiments) fails any plan
 // whose parts are unregistered, carry unexported fields, or decode into a
 // different report.
 func RegisterType(v any) { gob.Register(v) }
 
-// Encode serializes v (whose concrete type must be registered).
-func (Gob) Encode(v any) ([]byte, error) {
+// Encode serializes a shard result with encoding/gob behind an interface
+// envelope, so one encoding serves every experiment (v's concrete type
+// must be registered). Decode(Encode(v)) must be indistinguishable from v
+// to the experiment's merge step: the byte-identical-report guarantee of
+// cached and remotely computed shards rests on it.
+func Encode(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		return nil, fmt.Errorf("cache: encode: %w", err)
@@ -504,10 +478,20 @@ func (Gob) Encode(v any) ([]byte, error) {
 }
 
 // Decode deserializes bytes produced by Encode.
-func (Gob) Decode(data []byte) (any, error) {
+func Decode(data []byte) (any, error) {
 	var v any
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
 		return nil, fmt.Errorf("cache: decode: %w", err)
 	}
 	return v, nil
 }
+
+// Gob is Encode and Decode as methods, for callers that hold the encoding
+// as a value (perfbench's hit-path probe).
+type Gob struct{}
+
+// Encode calls Encode.
+func (Gob) Encode(v any) ([]byte, error) { return Encode(v) }
+
+// Decode calls Decode.
+func (Gob) Decode(data []byte) (any, error) { return Decode(data) }

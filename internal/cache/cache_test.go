@@ -200,14 +200,16 @@ type gobPart struct {
 func TestGobCodecRoundTrip(t *testing.T) {
 	RegisterType(gobPart{})
 	RegisterType([]string(nil))
-	codec := Gob{}
 
 	orig := gobPart{Label: "g", Values: []float64{1.5, -2.25, 0}, Count: 7}
-	data, err := codec.Encode(orig)
+	data, err := Encode(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := codec.Decode(data)
+	if viaGob, err := (Gob{}).Encode(orig); err != nil || !bytes.Equal(viaGob, data) {
+		t.Fatalf("Gob.Encode differs from Encode: %v", err)
+	}
+	back, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +227,11 @@ func TestGobCodecRoundTrip(t *testing.T) {
 	}
 
 	// Slices-of-strings (table1's shard type) round trip too.
-	data, err = codec.Encode([]string{"a", "b"})
+	data, err = Encode([]string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err = codec.Decode(data)
+	back, err = Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestGobCodecRoundTrip(t *testing.T) {
 	}
 
 	// Corrupted bytes decode to an error, never a wrong value.
-	if _, err := codec.Decode(bytes.Repeat([]byte{0x5a}, 16)); err == nil {
+	if _, err := Decode(bytes.Repeat([]byte{0x5a}, 16)); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
 }

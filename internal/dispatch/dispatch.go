@@ -7,11 +7,10 @@
 // placement. A Run call enqueues its shards as tasks; local executors and
 // remote lease polls both pop from the front, so placement is simply
 // whichever capacity frees up first — the queue never commits a shard to a
-// lost worker. The queue is cost-ordered, not FIFO: tasks carry the
-// shard's Cost hint and the most expensive pending task sits at the front,
-// so the shards that dominate a sweep's critical path start earliest
-// (costless tasks degrade to exact FIFO), and every placement, local or
-// remote, is granted the first task it may run. Determinism survives
+// lost worker. The queue is FIFO in submission order, except that
+// interrupted work — tasks requeued off a lost worker and crash-recovered
+// runs — goes ahead of new arrivals, and every placement, local or remote,
+// is granted the first task it may run. Determinism survives
 // distribution because placement only decides WHERE and WHEN a shard
 // computes, never WHAT: results land in the task's input slot and are
 // collected in canonical order, and every shard is a pure function of
@@ -100,7 +99,7 @@ type Dispatcher struct {
 	workerTasks   *obs.CounterVec
 
 	mu        sync.Mutex
-	pending   *list.List // *task, cost-ordered; front = next out (see enqueueLocked)
+	pending   *list.List // *task; front = next out (see enqueueLocked)
 	notify    chan struct{}
 	workers   map[string]*workerState
 	taskSeq   int
@@ -135,11 +134,10 @@ type task struct {
 	ctx    context.Context
 	shard  engine.Shard
 	report func(label string)
-	cost   float64 // shard.Cost, immutable scheduling weight
 
 	// boost and enqueuedAt are queue-scheduling state guarded by the
-	// dispatcher's mu (not t.mu): boost marks requeued interrupted work,
-	// which outranks any cost; enqueuedAt anchors the queue-wait latency
+	// dispatcher's mu (not t.mu): boost marks interrupted work, which goes
+	// ahead of new arrivals; enqueuedAt anchors the queue-wait latency
 	// metric.
 	boost      bool
 	enqueuedAt time.Time
@@ -317,7 +315,6 @@ func (d *Dispatcher) Run(ctx context.Context, shards []engine.Shard, opts engine
 			ctx:    ctx,
 			shard:  sh,
 			report: report,
-			cost:   sh.Cost,
 			doneCh: make(chan struct{}),
 		}
 		// Crash-recovered work re-enters at the front of the queue, the
@@ -385,27 +382,18 @@ func (d *Dispatcher) pruneSettled() {
 	}
 }
 
-// moreUrgent orders the pending queue: requeued interrupted work first
-// (boost), then largest declared cost. Equal urgency preserves insertion
-// order, so an all-zero-cost queue behaves exactly like the old FIFO.
-// Caller holds d.mu (boost is d.mu-guarded).
-func moreUrgent(a, b *task) bool {
-	if a.boost != b.boost {
-		return a.boost
-	}
-	return a.cost > b.cost
-}
-
-// enqueueLocked inserts the task in urgency order: in front of the first
-// queued task it outranks, at the back among equals. O(queue) per insert,
-// which is fine at plan scale and keeps the list structure (and its lazy
-// pruning) that every other queue operation relies on. Caller holds d.mu.
+// enqueueLocked appends a new task at the back of the queue; a boosted
+// (interrupted) task goes in front of the first unboosted one instead, so
+// interrupted work runs before new arrivals and never-interrupted tasks
+// keep submission order. Caller holds d.mu (boost is d.mu-guarded).
 func (d *Dispatcher) enqueueLocked(t *task) {
 	t.enqueuedAt = time.Now()
-	for el := d.pending.Front(); el != nil; el = el.Next() {
-		if moreUrgent(t, el.Value.(*task)) {
-			d.pending.InsertBefore(t, el)
-			return
+	if t.boost {
+		for el := d.pending.Front(); el != nil; el = el.Next() {
+			if !el.Value.(*task).boost {
+				d.pending.InsertBefore(t, el)
+				return
+			}
 		}
 	}
 	d.pending.PushBack(t)
@@ -413,8 +401,7 @@ func (d *Dispatcher) enqueueLocked(t *task) {
 
 // popLocked removes and claims the first runnable task for a local
 // executor or, when remote, a remote lease, pruning settled and cancelled
-// entries as it scans. The queue is cost-ordered, so the first eligible
-// task is the most urgent. Caller holds d.mu; nil means the queue holds
+// entries as it scans. Caller holds d.mu; nil means the queue holds
 // nothing for this placement.
 func (d *Dispatcher) popLocked(remote bool) *task {
 	for el := d.pending.Front(); el != nil; {
@@ -449,9 +436,9 @@ func (d *Dispatcher) popLocked(remote bool) *task {
 }
 
 // requeueLocked pushes a lost worker's leased tasks back into the queue
-// with the boost flag set (interrupted work outranks new work, whatever
-// its cost), counting the failed attempt and pinning repeat offenders to
-// local execution when local executors exist. Caller holds d.mu.
+// with the boost flag set (interrupted work goes ahead of new work),
+// counting the failed attempt and pinning repeat offenders to local
+// execution when local executors exist. Caller holds d.mu.
 func (d *Dispatcher) requeueLocked(w *workerState) {
 	requeued := false
 	for _, le := range w.leases {

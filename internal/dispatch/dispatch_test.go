@@ -411,13 +411,6 @@ func TestDispatcherConcurrentRunsInterleave(t *testing.T) {
 	wg.Wait()
 }
 
-// costShard is remoteShard with a declared scheduling cost.
-func costShard(label string, cost float64) engine.Shard {
-	sh := remoteShard(label, "v-"+label)
-	sh.Cost = cost
-	return sh
-}
-
 // TestDispatcherLongLeasePollSurvivesJanitor: a worker parked in lease
 // long-polls far longer than the TTL must never be evicted — the
 // dispatcher caps each park at TTL/2 and renews liveness on every loop
@@ -463,85 +456,114 @@ func TestDispatcherLeaseCtxDoneReportsError(t *testing.T) {
 	}
 }
 
-// TestDispatcherCostOrderedLeasing: the queue hands out the most expensive
-// pending shard first regardless of submission position, and FIFO order
-// survives among equal costs.
-func TestDispatcherCostOrderedLeasing(t *testing.T) {
-	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
-	defer d.Close()
-	shards := []engine.Shard{
-		costShard("small-a", 1),
-		costShard("big", 100),
-		costShard("small-b", 1),
+// labelShards builds remote-eligible shards whose lease spec is the label.
+func labelShards(labels ...string) []engine.Shard {
+	out := make([]engine.Shard, len(labels))
+	for i, l := range labels {
+		out[i] = remoteShard(l, "v-"+l)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Run(context.Background(), shards, engine.Options{})
-		done <- err
-	}()
-	reg, _ := d.Register("solo", 1)
-	var order []string
-	for len(order) < 3 {
-		g, err := d.Lease(context.Background(), reg.WorkerID, 100*time.Millisecond)
+	return out
+}
+
+// queueLen reports the pending queue depth.
+func queueLen(d *Dispatcher) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.pending.Len()
+}
+
+// leaseNext polls until the worker is granted a task.
+func leaseNext(t *testing.T, d *Dispatcher, workerID string) *LeaseGrant {
+	t.Helper()
+	for {
+		g, err := d.Lease(context.Background(), workerID, 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g == nil {
-			continue
+		if g != nil {
+			return g
 		}
+	}
+}
+
+// TestDispatcherFIFOWithRequeuedFirst: tasks lease in submission order,
+// across Run calls, and tasks requeued off a lost worker go ahead of every
+// task that was never leased. (A lost worker's leases requeue in no
+// particular order among themselves.)
+func TestDispatcherFIFOWithRequeuedFirst(t *testing.T) {
+	d := New(Options{NoLocal: true, LeaseTTL: time.Minute})
+	defer d.Close()
+	done := make(chan error, 2)
+	run := func(labels ...string) {
+		go func() {
+			_, err := d.Run(context.Background(), labelShards(labels...), engine.Options{})
+			done <- err
+		}()
+	}
+	run("a", "b", "c")
+	waitFor(t, 2*time.Second, func() bool { return queueLen(d) == 3 }, "first plan enqueued")
+	lost, _ := d.Register("lost", 2)
+	for _, want := range []string{"a", "b"} {
+		if g := leaseNext(t, d, lost.WorkerID); string(g.Spec) != want {
+			t.Fatalf("leased %q, want %q (submission order)", g.Spec, want)
+		}
+	}
+	run("d", "e")
+	waitFor(t, 2*time.Second, func() bool { return queueLen(d) == 3 }, "second plan enqueued")
+	if err := d.Deregister(lost.WorkerID); err != nil {
+		t.Fatal(err)
+	}
+
+	w, _ := d.Register("survivor", 1)
+	var order []string
+	for len(order) < 5 {
+		g := leaseNext(t, d, w.WorkerID)
 		order = append(order, string(g.Spec))
-		if err := d.Complete(reg.WorkerID, g.TaskID, []byte("v"), ""); err != nil {
+		if err := d.Complete(w.WorkerID, g.TaskID, []byte("v"), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := []string{"big", "small-a", "small-b"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("lease order %v, want %v (largest first, FIFO among equals)", order, want)
-		}
+	requeued := map[string]bool{order[0]: true, order[1]: true}
+	if !requeued["a"] || !requeued["b"] || order[2] != "c" || order[3] != "d" || order[4] != "e" {
+		t.Fatalf("lease order %v, want a and b (requeued, any order) then c d e", order)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestDispatcherGrantsQueueHeadToFirstPoller: placement is whichever
-// capacity polls first. With a 1-big + N-small plan and two unequal
-// workers, the weak worker polling first is granted the queue head (the
-// big shard) even though a stronger worker has free slots.
+// capacity polls first. With two unequal workers, the weak worker polling
+// first is granted the queue head even though a stronger worker has free
+// slots; the strong worker gets the next task.
 func TestDispatcherGrantsQueueHeadToFirstPoller(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
 	defer d.Close()
 	weak, _ := d.Register("weak", 1)
 	strong, _ := d.Register("strong", 4)
-	shards := []engine.Shard{
-		costShard("s1", 1), costShard("s2", 1), costShard("big", 100),
-		costShard("s3", 1), costShard("s4", 1),
-	}
+	shards := labelShards("s1", "s2", "s3", "s4", "s5")
 	done := make(chan error, 1)
 	go func() {
 		_, err := d.Run(context.Background(), shards, engine.Options{})
 		done <- err
 	}()
-	waitFor(t, 2*time.Second, func() bool {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.pending.Len() == len(shards)
-	}, "plan enqueued")
+	waitFor(t, 2*time.Second, func() bool { return queueLen(d) == len(shards) }, "plan enqueued")
 
 	gw, err := d.Lease(context.Background(), weak.WorkerID, 100*time.Millisecond)
 	if err != nil || gw == nil {
 		t.Fatalf("weak lease: %+v, %v", gw, err)
 	}
-	if string(gw.Spec) != "big" {
-		t.Fatalf("weak worker leased %q, want the queue head (big)", gw.Spec)
+	if string(gw.Spec) != "s1" {
+		t.Fatalf("weak worker leased %q, want the queue head (s1)", gw.Spec)
 	}
 	gs, err := d.Lease(context.Background(), strong.WorkerID, 100*time.Millisecond)
 	if err != nil || gs == nil {
 		t.Fatalf("strong lease: %+v, %v", gs, err)
 	}
-	if string(gs.Spec) != "s1" {
-		t.Fatalf("strong worker leased %q, want s1 (FIFO among equal costs)", gs.Spec)
+	if string(gs.Spec) != "s2" {
+		t.Fatalf("strong worker leased %q, want s2 (FIFO)", gs.Spec)
 	}
 
 	// Drain: complete the two grants, then the rest through the strong

@@ -82,8 +82,8 @@ func DecodeTask(data []byte) (TaskSpec, error) {
 
 // ExecuteTask runs one leased task on a worker: it re-derives the shard
 // from the local experiment registry, executes it with the engine's panic
-// isolation, and returns the result encoded with the shard cache's gob
-// codec — the exact bytes the server can Put into its cache and Decode for
+// isolation, and returns the result in the shard cache's gob encoding
+// (cache.Encode) — the exact bytes the server can Put into its cache and Decode for
 // the merge. The returned error is a task failure to report via complete
 // (the worker process itself stays healthy).
 func ExecuteTask(ctx context.Context, raw []byte) ([]byte, error) {
@@ -95,10 +95,11 @@ func ExecuteTask(ctx context.Context, raw []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dispatch: unknown experiment %q (worker/server registry skew?)", spec.Experiment)
 	}
-	shards, _, err := experiments.BuildShards(e, spec.Config)
+	plan, err := e.Plan(spec.Config)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: %w", spec.Experiment, err)
 	}
+	shards := plan.Shards
 	if spec.Shard >= len(shards) {
 		return nil, fmt.Errorf("dispatch: %s: shard %d out of range (plan has %d)", spec.Experiment, spec.Shard, len(shards))
 	}
@@ -109,7 +110,7 @@ func ExecuteTask(ctx context.Context, raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply, err := (cache.Gob{}).Encode(v)
+	reply, err := cache.Encode(v)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %s: encode shard result: %w", spec.Experiment, err)
 	}

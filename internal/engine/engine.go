@@ -27,6 +27,10 @@
 //     stays bounded at one pool's worth of parallelism instead of pooling
 //     per experiment (see internal/service).
 //
+// Shards carry no cost or priority hint: every backend starts a Run's
+// shards in input order (the dispatch backend lets interrupted work go
+// first; see internal/dispatch).
+//
 // Cancellation is cooperative and scheduling-level: when a Run call's
 // context is cancelled the engine stops handing out new shards, marks the
 // not-yet-started ones with the context error, lets in-flight shards finish
@@ -67,13 +71,6 @@ type Shard struct {
 	// — including Pool — ignore it, so attaching a RemoteSpec never changes
 	// local execution.
 	Remote *RemoteSpec
-	// Cost is an optional scheduling hint: the shard's expected wall time in
-	// abstract units roughly comparable to milliseconds (0 = unknown).
-	// Cost-aware backends lease expensive shards first so one big shard
-	// cannot dominate a sweep's critical path; Pool and the serial path
-	// ignore it. Cost influences only WHERE and WHEN a shard runs, never its
-	// result, and it must not enter any result digest.
-	Cost float64
 	// Span, when non-nil, is the shard's observability span (internal/obs).
 	// Backends that move the shard through scheduling states (lease,
 	// requeue) record those transitions on it; the shard's own Run closure
@@ -114,6 +111,9 @@ type Backend interface {
 	Run(ctx context.Context, shards []Shard, opts Options) ([]any, error)
 	// Workers reports the backend's local parallelism bound.
 	Workers() int
+	// Busy reports how many shards are executing right now — an
+	// instantaneous utilization reading for metrics exporters.
+	Busy() int
 	// Close releases the backend's resources; it must not be called
 	// concurrently with Run.
 	Close()

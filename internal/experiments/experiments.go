@@ -42,14 +42,6 @@ type Config struct {
 	// (outstanding misses per core) in memsim-based experiments; 0 keeps
 	// the memsim default.
 	MLP int
-	// MaxShardShare bounds one shard's share of its plan's total estimated
-	// cost: plan builders subdivide any shard whose cost hint would exceed
-	// MaxShardShare × the plan total (see split.go). 0 selects the default
-	// (defaultMaxShardShare); 1 disables splitting. Purely a decomposition
-	// knob — split and unsplit plans render byte-identical Results — but it
-	// participates in Digest like every field, so differently split runs
-	// never share cache entries.
-	MaxShardShare float64
 	// Seed decorrelates full runs; every experiment is deterministic for a
 	// given config.
 	Seed uint64
@@ -100,11 +92,13 @@ func Full() Config {
 // bugs), so every memsim-backed shard result (fig23, prvr-sim) computed
 // under generation 2 is numerically stale for the same Config.
 //
-// Generation 4: the dominant plans (fig11/13/15, fig23, ttf) decompose into
-// cost-budgeted sub-shards (see split.go): part types changed shape (raw
-// per-atom value lists instead of pre-reduced summaries), shard labels
-// gained range coordinates, and RNG streams are keyed per atom instead of
-// per grid cell, so every sampled value from those experiments moved.
+// Generation 4: the dominant plans (fig11/13/15, fig23, ttf) carry raw
+// per-atom value lists instead of pre-reduced summaries, and their RNG
+// streams are keyed per atom (module/sweep, simulation run, sample chunk)
+// instead of per grid cell, so every sampled value from those experiments
+// moved. (Generation 4 also split cells into cost-budgeted sub-shards;
+// that splitting is gone, but the per-atom keys and values are unchanged,
+// so generation-4 entries under unsplit labels stay valid.)
 const resultSchemaVersion = "cd-shards/4"
 
 // Digest returns a stable content digest of the configuration, used as the
@@ -266,12 +260,9 @@ func (e Experiment) RunWith(ctx context.Context, cfg Config, workers int, progre
 	return plan.Merge(parts)
 }
 
-// BuildShards decomposes an experiment into engine shards plus a merge
-// step. This is THE decomposition path — the service's scheduler and the
-// remote worker process both call it, so a shard index means the same unit
-// of work on every machine (the distributed determinism contract rests on
-// it: plans are pure functions of (ID, Config), so both sides enumerate
-// identical shard lists).
+// BuildShards returns e.Plan(cfg)'s shards and merge step as separate
+// values, the shape perfbench's hit-path probe consumes. The service and
+// the remote worker call e.Plan directly.
 func BuildShards(e Experiment, cfg Config) ([]Shard, func(parts []any) (*Result, error), error) {
 	plan, err := e.Plan(cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -51,19 +50,16 @@ func init() {
 // shortIntervalsMs are the refresh-window-scale intervals of Figs 11/15.
 func shortIntervalsMs() []float64 { return []float64{64, 128, 256, 512, 1024} }
 
-// blastValsPart is one sub-shard of a Fig 11/15 grid cell: raw blast-radius
-// value lists for a contiguous atom range. Atom t of a cell is
-// (module t/2, sweep t%2), sweep 0 = ColumnDisturb, 1 = retention; each
-// atom samples SubarraysPerModule subarrays of one module under one class
-// set, on its own keyed RNG stream. The merge reassembles cells from atoms
-// in canonical order, so any grouping of atoms into sub-shards renders the
-// same Result.
+// blastValsPart is one Fig 11/15 grid cell: raw blast-radius value lists
+// per atom. Atom t of a cell is (module t/2, sweep t%2), sweep 0 =
+// ColumnDisturb, 1 = retention; each atom samples SubarraysPerModule
+// subarrays of one module under one class set, on its own keyed RNG
+// stream.
 type blastValsPart struct {
 	Mfr        chipdb.Manufacturer
 	TempC      float64
 	IntervalMs float64
-	Start      int         // first atom index covered by this part
-	Vals       [][]float64 // per-atom values, atoms Start..Start+len(Vals)-1
+	Vals       [][]float64 // per-atom values, in atom order
 }
 
 // blastAtom samples one (module, sweep) atom of a blast-radius grid cell.
@@ -80,98 +76,68 @@ func blastAtom(cfg Config, m chipdb.ModuleSpec, sweep int, tempC, iv float64,
 	return blastStats(sampleSubarrayCounts(m, classes, tempC, iv, cfg.SubarraysPerModule, r))
 }
 
-// blastCellShards builds the sub-shards of one (manufacturer [,temp],
-// interval) grid cell, packing (module, sweep) atoms into ranges within
-// budget. coords are the cell's shard coordinates; each atom extends them
-// with its atom index, so its RNG stream is independent of the packing.
-func blastCellShards(cfg Config, id string, budget float64, mfr chipdb.Manufacturer,
-	tempC, iv float64, stream uint64, baseKV []string, coords []uint64) []Shard {
+// blastCellShard builds the shard of one (manufacturer [,temp], interval)
+// grid cell. coords are the cell's shard coordinates; each (module, sweep)
+// atom extends them with its atom index to key its own RNG stream.
+func blastCellShard(cfg Config, id string, mfr chipdb.Manufacturer,
+	tempC, iv float64, stream uint64, kv []string, coords []uint64) Shard {
 	mods := chipdb.ByManufacturer(mfr)
-	nAtoms := 2 * len(mods)
-	costs := uniformCosts(nAtoms, float64(cfg.SubarraysPerModule)*costCountDrawMs)
-	var shards []Shard
-	for _, ar := range packAtoms(costs, budget) {
-		ar := ar
-		kv := append([]string(nil), baseKV...)
-		if !ar.covers(nAtoms) {
-			kv = append(kv, "cells", ar.kv())
-		}
-		shards = append(shards, Shard{
-			Label: shardLabel(id, kv...),
-			Cost:  sumRange(costs, ar),
-			Run: func(context.Context) (any, error) {
-				part := blastValsPart{Mfr: mfr, TempC: tempC, IntervalMs: iv, Start: ar.Start}
-				for t := ar.Start; t < ar.End; t++ {
-					shard := append(append([]uint64(nil), coords...), uint64(t))
-					part.Vals = append(part.Vals,
-						blastAtom(cfg, mods[t/2], t%2, tempC, iv, stream, shard...))
-				}
-				return part, nil
-			},
-		})
+	return Shard{
+		Label: shardLabel(id, kv...),
+		Run: func(context.Context) (any, error) {
+			part := blastValsPart{Mfr: mfr, TempC: tempC, IntervalMs: iv}
+			for t := 0; t < 2*len(mods); t++ {
+				shard := append(append([]uint64(nil), coords...), uint64(t))
+				part.Vals = append(part.Vals,
+					blastAtom(cfg, mods[t/2], t%2, tempC, iv, stream, shard...))
+			}
+			return part, nil
+		},
 	}
-	return shards
 }
 
-// blastKey identifies one grid cell across its sub-shards.
+// blastKey identifies one grid cell.
 type blastKey struct {
 	Mfr        chipdb.Manufacturer
 	TempC      float64
 	IntervalMs float64
 }
 
-// blastCell is a reassembled grid cell.
+// blastCell is a summarized grid cell.
 type blastCell struct{ CD, Ret stats.Summary }
 
-// foldBlastParts groups blastValsPart sub-shards by grid cell, orders each
-// cell's atoms canonically, and summarizes the ColumnDisturb (even-atom)
-// and retention (odd-atom) value streams — the same module-order
-// concatenation an unsplit cell produces.
+// foldBlastParts summarizes each cell's ColumnDisturb (even-atom) and
+// retention (odd-atom) value streams, concatenated in module order.
 func foldBlastParts(parts []any) (map[blastKey]blastCell, error) {
-	grouped := map[blastKey][]blastValsPart{}
+	out := make(map[blastKey]blastCell, len(parts))
 	for _, raw := range parts {
 		part, ok := raw.(blastValsPart)
 		if !ok {
 			return nil, fmt.Errorf("blast merge: part has type %T, want blastValsPart", raw)
 		}
-		k := blastKey{part.Mfr, part.TempC, part.IntervalMs}
-		grouped[k] = append(grouped[k], part)
-	}
-	out := map[blastKey]blastCell{}
-	for k, cellParts := range grouped {
-		sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
 		var cd, ret []float64
-		for _, p := range cellParts {
-			for off, vals := range p.Vals {
-				if (p.Start+off)%2 == 0 {
-					cd = append(cd, vals...)
-				} else {
-					ret = append(ret, vals...)
-				}
+		for t, vals := range part.Vals {
+			if t%2 == 0 {
+				cd = append(cd, vals...)
+			} else {
+				ret = append(ret, vals...)
 			}
 		}
-		out[k] = blastCell{CD: stats.Summarize(cd), Ret: stats.Summarize(ret)}
+		out[blastKey{part.Mfr, part.TempC, part.IntervalMs}] = blastCell{CD: stats.Summarize(cd), Ret: stats.Summarize(ret)}
 	}
 	return out, nil
 }
 
-// planFig11 shards Fig 11 by (manufacturer × interval) at 65 °C, splitting
-// cells by (module, sweep) atoms when a cell would dominate the plan.
+// planFig11 shards Fig 11 by (manufacturer × interval) at 65 °C.
 func planFig11(cfg Config) (*Plan, error) {
 	mfrs := chipdb.Manufacturers()
 	ivs := shortIntervalsMs()
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(ivs)) * 2 * float64(len(chipdb.ByManufacturer(mfr))) *
-			float64(cfg.SubarraysPerModule) * costCountDrawMs
-	}
-	budget := cfg.splitBudget(total)
 	var shards []Shard
 	for mi, mfr := range mfrs {
 		for ii, iv := range ivs {
-			shards = append(shards, blastCellShards(cfg, "fig11", budget, mfr, 65, iv, 11,
+			shards = append(shards, blastCellShard(cfg, "fig11", mfr, 65, iv, 11,
 				[]string{"mfr", string(mfr), "iv", fmt.Sprintf("%.0fms", iv)},
-				[]uint64{uint64(mi), uint64(ii)})...)
+				[]uint64{uint64(mi), uint64(ii)}))
 		}
 	}
 	merge := func(parts []any) (*Result, error) {
@@ -245,9 +211,6 @@ func planFig12(cfg Config) (*Plan, error) {
 			ci, ii, iv := ci, ii, iv
 			shards = append(shards, Shard{
 				Label: shardLabel("fig12", "module", m.ID, "iv", fmt.Sprintf("%.0fs", iv/1000)),
-				// One chip, two sampled class sweeps plus four deterministic
-				// expected-count evaluations.
-				Cost: 2*float64(cfg.SubarraysPerModule)*costCountDrawMs + 4*costExpectedEvalMs,
 				Run: func(context.Context) (any, error) {
 					r := cfg.shardRand(12, uint64(ci), uint64(ii))
 					cd := sampleSubarrayCounts(m, cdCls, 85, iv, cfg.SubarraysPerModule, r)
@@ -294,57 +257,37 @@ func planFig12(cfg Config) (*Plan, error) {
 	return &Plan{Shards: shards, Merge: merge}, nil
 }
 
-// fig13Part is one sub-shard of a (manufacturer, temperature) TTF
-// distribution: per-module uncensored sample lists for a contiguous module
-// (atom) range.
+// fig13Part is one (manufacturer, temperature) TTF distribution:
+// per-module uncensored sample lists, in module order.
 type fig13Part struct {
 	Mfr   chipdb.Manufacturer
 	TempC float64
-	Start int
-	Found [][]float64 // per-module samples, modules Start..Start+len-1
+	Found [][]float64 // per-module samples
 }
 
-// planFig13 shards Fig 13 by (manufacturer × temperature), splitting each
-// distribution by module atoms: each atom draws one module's uncensored
-// TTF distribution on its own keyed stream.
+// planFig13 shards Fig 13 by (manufacturer × temperature). Each module
+// draws its uncensored TTF distribution on its own keyed stream.
 func planFig13(cfg Config) (*Plan, error) {
 	temps := []float64{45, 65, 85, 95}
 	setup := worstCaseSetup()
 	mfrs := chipdb.Manufacturers()
-	atomCost := func(cfg Config) float64 {
-		return float64(cfg.SubarraysPerModule) * costTTFSampleMs
-	}
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(temps)) * float64(len(chipdb.ByManufacturer(mfr))) * atomCost(cfg)
-	}
-	budget := cfg.splitBudget(total)
 	var shards []Shard
 	for mi, mfr := range mfrs {
 		mods := chipdb.ByManufacturer(mfr)
-		costs := uniformCosts(len(mods), atomCost(cfg))
 		for ti, tC := range temps {
 			mi, ti, mfr, tC := mi, ti, mfr, tC
-			for _, ar := range packAtoms(costs, budget) {
-				ar := ar
-				kv := []string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC)}
-				if !ar.covers(len(mods)) {
-					kv = append(kv, "modules", ar.kv())
-				}
-				shards = append(shards, Shard{
-					Label: shardLabel("fig13", kv...),
-					Cost:  sumRange(costs, ar),
-					Run: func(context.Context) (any, error) {
-						part := fig13Part{Mfr: mfr, TempC: tC, Start: ar.Start}
-						for t := ar.Start; t < ar.End; t++ {
-							r := cfg.shardRand(13, uint64(mi), uint64(ti), uint64(t))
-							f, _ := sampleModuleTTFs(mods[t], setup, tC, 0, cfg.SubarraysPerModule, r)
-							part.Found = append(part.Found, f)
-						}
-						return part, nil
-					},
-				})
-			}
+			shards = append(shards, Shard{
+				Label: shardLabel("fig13", "mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC)),
+				Run: func(context.Context) (any, error) {
+					part := fig13Part{Mfr: mfr, TempC: tC}
+					for t, m := range mods {
+						r := cfg.shardRand(13, uint64(mi), uint64(ti), uint64(t))
+						f, _ := sampleModuleTTFs(m, setup, tC, 0, cfg.SubarraysPerModule, r)
+						part.Found = append(part.Found, f)
+					}
+					return part, nil
+				},
+			})
 		}
 	}
 	merge := func(parts []any) (*Result, error) {
@@ -357,26 +300,21 @@ func planFig13(cfg Config) (*Plan, error) {
 			Mfr   chipdb.Manufacturer
 			TempC float64
 		}
-		grouped := map[cellKey][]fig13Part{}
+		cells := make(map[cellKey]fig13Part, len(parts))
 		for _, raw := range parts {
 			part, ok := raw.(fig13Part)
 			if !ok {
 				return nil, fmt.Errorf("fig13: part has type %T, want fig13Part", raw)
 			}
-			k := cellKey{part.Mfr, part.TempC}
-			grouped[k] = append(grouped[k], part)
+			cells[cellKey{part.Mfr, part.TempC}] = part
 		}
 		means := map[chipdb.Manufacturer]map[float64]float64{}
 		for _, mfr := range mfrs {
 			means[mfr] = map[float64]float64{}
 			for _, tC := range temps {
-				cellParts := grouped[cellKey{mfr, tC}]
-				sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
 				var found []float64
-				for _, p := range cellParts {
-					for _, f := range p.Found {
-						found = append(found, f...)
-					}
+				for _, f := range cells[cellKey{mfr, tC}].Found {
+					found = append(found, f...)
 				}
 				if len(found) == 0 {
 					res.AddRow(string(mfr), fmt.Sprintf("%.0f", tC), "-", "-", "-", "-", "-")
@@ -423,8 +361,6 @@ func planFig14(cfg Config) (*Plan, error) {
 			mfr, tC := mfr, tC
 			shards = append(shards, Shard{
 				Label: shardLabel("fig14", "mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC)),
-				// Deterministic expected fractions: no sampling, near-free.
-				Cost: 2 * float64(len(chipdb.ByManufacturer(mfr))) * costExpectedEvalMs,
 				Run: func(context.Context) (any, error) {
 					// Fraction-of-cells ratios at 512 ms reach below one
 					// bitflip per sampled subarray; expected fractions keep
@@ -482,24 +418,18 @@ func planFig14(cfg Config) (*Plan, error) {
 
 // planFig15 shards Fig 15 by (manufacturer × temperature × interval) —
 // the repo's widest grid (60 cells), and the heavy sweep the engine
-// benchmark measures — splitting cells by (module, sweep) atoms.
+// benchmark measures.
 func planFig15(cfg Config) (*Plan, error) {
 	temps := []float64{45, 65, 85, 95}
 	mfrs := chipdb.Manufacturers()
 	ivs := shortIntervalsMs()
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(temps)*len(ivs)) * 2 * float64(len(chipdb.ByManufacturer(mfr))) *
-			float64(cfg.SubarraysPerModule) * costCountDrawMs
-	}
-	budget := cfg.splitBudget(total)
 	var shards []Shard
 	for mi, mfr := range mfrs {
 		for ti, tC := range temps {
 			for ii, iv := range ivs {
-				shards = append(shards, blastCellShards(cfg, "fig15", budget, mfr, tC, iv, 15,
+				shards = append(shards, blastCellShard(cfg, "fig15", mfr, tC, iv, 15,
 					[]string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC), "iv", fmt.Sprintf("%.0fms", iv)},
-					[]uint64{uint64(mi), uint64(ti), uint64(ii)})...)
+					[]uint64{uint64(mi), uint64(ti), uint64(ii)}))
 			}
 		}
 	}

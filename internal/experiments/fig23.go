@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -48,35 +47,27 @@ func fig23Arms() []fig23Arm {
 	return arms
 }
 
-// fig23RunsPart is one sub-shard of a workload mix's simulation runs: raw
-// per-core IPC vectors for a contiguous atom range. Atom 0 is the solo
-// baselines (per-core solo IPCs, the weighted-speedup denominators); atom 1
-// the no-refresh run, atom 2 the 64 ms periodic baseline, atom 3+k curve
-// arm k. Every weighted-speedup reduction happens in the merge
-// (memsim.WeightedSpeedupFrom), so the numbers are independent of which
-// sub-shard — or worker — ran which atom.
+// fig23RunsPart is one workload mix's simulation runs: raw per-core IPC
+// vectors, one per run. Run 0 is the solo baselines (per-core solo IPCs,
+// the weighted-speedup denominators); run 1 the no-refresh run, run 2 the
+// 64 ms periodic baseline, run 3+k curve arm k. Every weighted-speedup
+// reduction happens in the merge (memsim.WeightedSpeedupFrom).
 type fig23RunsPart struct {
-	Mix   int
-	Start int
-	IPCs  [][]float64 // per-atom per-core IPCs, atoms Start..Start+len-1
+	Mix  int
+	IPCs [][]float64 // per-run per-core IPCs
 }
 
-// fig23MarkersPart is one sub-shard of the example Micron module's (M8)
-// measured weak-row proportions — the annotated markers. Atom d of the
-// marker shard is one subarray draw: draws 0..SubarraysPerModule-1 sample
-// the retention sweep, the next SubarraysPerModule the ColumnDisturb
-// sweep, each on its own keyed stream.
+// fig23MarkersPart is the example Micron module's (M8) measured weak-row
+// proportions — the annotated markers. Draws 0..SubarraysPerModule-1
+// sample the retention sweep, the next SubarraysPerModule the
+// ColumnDisturb sweep, each on its own keyed stream.
 type fig23MarkersPart struct {
-	Start int
-	Vals  []float64 // per-atom weak-row fractions
+	Vals []float64 // per-draw weak-row fractions
 }
 
-// planFig23 shards Fig 23 by workload mix, splitting each mix into
-// simulation-run atoms: each atom is one memsim measurement (a solo
-// baseline set, a refresh baseline, or one curve arm), so the per-mix wall
-// time no longer gates the whole plan. The merge reduces raw IPCs to
-// weighted speedups and averages across mixes in canonical order. The M8
-// weak-fraction markers split by subarray draw on stream 23.
+// planFig23 shards Fig 23 by workload mix plus one shard for the M8
+// weak-fraction markers (stream 23). The merge reduces raw IPCs to
+// weighted speedups and averages across mixes in canonical order.
 func planFig23(cfg Config) (*Plan, error) {
 	sys := memsim.DefaultSystem()
 	sys.MeasureInstr = cfg.MeasureInstr
@@ -92,29 +83,12 @@ func planFig23(cfg Config) (*Plan, error) {
 	mixes := memsim.Mixes(cfg.Mixes)
 	seed := memsim.RunSeed(cfg.Seed, 23)
 	arms := fig23Arms()
+	nRuns := 3 + len(arms)
 
-	// Atom costs: one mix has 3+len(arms) atoms; atom 0 runs len(mix)
-	// single-core solos, the rest one multi-core measurement each.
-	mixAtomCosts := func(mix []memsim.CoreWorkload) []float64 {
-		costs := make([]float64, 3+len(arms))
-		costs[0] = float64(len(mix)) * costMemsimRunMs(cfg, 1)
-		for i := 1; i < len(costs); i++ {
-			costs[i] = costMemsimRunMs(cfg, len(mix))
-		}
-		return costs
-	}
-	markerDraws := 2 * cfg.SubarraysPerModule
-	markerCosts := uniformCosts(markerDraws, costCountDrawMs)
-	total := sumCosts(markerCosts)
-	for _, mix := range mixes {
-		total += sumCosts(mixAtomCosts(mix))
-	}
-	budget := cfg.splitBudget(total)
-
-	// runAtom executes one simulation atom of a mix.
-	runAtom := func(mix []memsim.CoreWorkload, atom int) ([]float64, error) {
+	// runMix executes simulation run a of a mix (see fig23RunsPart).
+	runMix := func(mix []memsim.CoreWorkload, a int) ([]float64, error) {
 		switch {
-		case atom == 0:
+		case a == 0:
 			solos := make([]float64, len(mix))
 			for j, w := range mix {
 				ipc, err := memsim.SoloIPC(sys, w, seed)
@@ -124,16 +98,16 @@ func planFig23(cfg Config) (*Plan, error) {
 				solos[j] = ipc
 			}
 			return solos, nil
-		case atom == 1:
+		case a == 1:
 			return memsim.MixIPCs(sys, mix, memsim.NoRefresh(), seed)
-		case atom == 2:
+		case a == 2:
 			p64, err := memsim.PeriodicRefresh(sys, 64)
 			if err != nil {
 				return nil, err
 			}
 			return memsim.MixIPCs(sys, mix, p64, seed)
 		default:
-			arm := arms[atom-3]
+			arm := arms[a-3]
 			rc := memsim.DefaultRAIDR(arm.Tracker)
 			rc.WeakFraction = arm.W
 			eng, _, err := memsim.NewRAIDR(sys, rc)
@@ -147,48 +121,31 @@ func planFig23(cfg Config) (*Plan, error) {
 	var shards []Shard
 	for i, mix := range mixes {
 		i, mix := i, mix
-		costs := mixAtomCosts(mix)
-		for _, ar := range packAtoms(costs, budget) {
-			ar := ar
-			kv := []string{"mix", fmt.Sprintf("%d", i)}
-			if !ar.covers(len(costs)) {
-				kv = append(kv, "runs", ar.kv())
-			}
-			shards = append(shards, Shard{
-				Label: shardLabel("fig23", kv...),
-				Cost:  sumRange(costs, ar),
-				Run: func(context.Context) (any, error) {
-					part := fig23RunsPart{Mix: i, Start: ar.Start}
-					for a := ar.Start; a < ar.End; a++ {
-						ipcs, err := runAtom(mix, a)
-						if err != nil {
-							return nil, err
-						}
-						part.IPCs = append(part.IPCs, ipcs)
-					}
-					return part, nil
-				},
-			})
-		}
-	}
-	for _, ar := range packAtoms(markerCosts, budget) {
-		ar := ar
-		kv := []string{"markers", "M8"}
-		if !ar.covers(markerDraws) {
-			kv = append(kv, "draws", ar.kv())
-		}
 		shards = append(shards, Shard{
-			Label: shardLabel("fig23", kv...),
-			Cost:  sumRange(markerCosts, ar),
+			Label: shardLabel("fig23", "mix", fmt.Sprintf("%d", i)),
 			Run: func(context.Context) (any, error) {
-				part := fig23MarkersPart{Start: ar.Start}
-				for d := ar.Start; d < ar.End; d++ {
-					part.Vals = append(part.Vals, m8WeakFraction(cfg, d))
+				part := fig23RunsPart{Mix: i}
+				for a := 0; a < nRuns; a++ {
+					ipcs, err := runMix(mix, a)
+					if err != nil {
+						return nil, err
+					}
+					part.IPCs = append(part.IPCs, ipcs)
 				}
 				return part, nil
 			},
 		})
 	}
+	shards = append(shards, Shard{
+		Label: shardLabel("fig23", "markers", "M8"),
+		Run: func(context.Context) (any, error) {
+			var part fig23MarkersPart
+			for d := 0; d < 2*cfg.SubarraysPerModule; d++ {
+				part.Vals = append(part.Vals, m8WeakFraction(cfg, d))
+			}
+			return part, nil
+		},
+	})
 
 	merge := func(parts []any) (*Result, error) {
 		res := &Result{
@@ -196,53 +153,37 @@ func planFig23(cfg Config) (*Plan, error) {
 			Title:   "RAIDR weighted speedup normalized to No Refresh (and benefit over 64 ms periodic refresh)",
 			Headers: []string{"tracker", "weak fraction", "WS/WS(noref)", "benefit", "eff. weak frac"},
 		}
-		mixParts := map[int][]fig23RunsPart{}
-		var markerParts []fig23MarkersPart
-		for _, raw := range parts {
-			switch part := raw.(type) {
-			case fig23RunsPart:
-				mixParts[part.Mix] = append(mixParts[part.Mix], part)
-			case fig23MarkersPart:
-				markerParts = append(markerParts, part)
-			default:
-				return nil, fmt.Errorf("fig23: part has type %T", raw)
-			}
-		}
-		if len(mixParts) == 0 {
-			return nil, fmt.Errorf("fig23: no mix parts")
-		}
-		// Reassemble each mix's atom list and reduce to weighted speedups.
-		nRuns := 3 + len(arms)
+		var markers fig23MarkersPart
 		type mixWS struct {
 			wsNone, wsP64 float64
 			ws            []float64
 		}
 		var perMix []mixWS
-		mixIdxs := make([]int, 0, len(mixParts))
-		for mi := range mixParts {
-			mixIdxs = append(mixIdxs, mi)
+		for _, raw := range parts {
+			switch part := raw.(type) {
+			case fig23RunsPart:
+				runs := part.IPCs
+				if len(runs) != nRuns {
+					return nil, fmt.Errorf("fig23: mix %d has %d runs, want %d", part.Mix, len(runs), nRuns)
+				}
+				solos := runs[0]
+				w := mixWS{
+					wsNone: memsim.WeightedSpeedupFrom(runs[1], solos),
+					wsP64:  memsim.WeightedSpeedupFrom(runs[2], solos),
+					ws:     make([]float64, len(arms)),
+				}
+				for ai := range arms {
+					w.ws[ai] = memsim.WeightedSpeedupFrom(runs[3+ai], solos)
+				}
+				perMix = append(perMix, w)
+			case fig23MarkersPart:
+				markers = part
+			default:
+				return nil, fmt.Errorf("fig23: part has type %T", raw)
+			}
 		}
-		sort.Ints(mixIdxs)
-		for _, mi := range mixIdxs {
-			cellParts := mixParts[mi]
-			sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
-			runs := make([][]float64, 0, nRuns)
-			for _, p := range cellParts {
-				runs = append(runs, p.IPCs...)
-			}
-			if len(runs) != nRuns {
-				return nil, fmt.Errorf("fig23: mix %d has %d run atoms, want %d", mi, len(runs), nRuns)
-			}
-			solos := runs[0]
-			w := mixWS{
-				wsNone: memsim.WeightedSpeedupFrom(runs[1], solos),
-				wsP64:  memsim.WeightedSpeedupFrom(runs[2], solos),
-				ws:     make([]float64, len(arms)),
-			}
-			for ai := range arms {
-				w.ws[ai] = memsim.WeightedSpeedupFrom(runs[3+ai], solos)
-			}
-			perMix = append(perMix, w)
+		if len(perMix) == 0 {
+			return nil, fmt.Errorf("fig23: no mix parts")
 		}
 		n := float64(len(perMix))
 		avg := func(sel func(mixWS) float64) float64 {
@@ -255,17 +196,12 @@ func planFig23(cfg Config) (*Plan, error) {
 		wsNone := avg(func(w mixWS) float64 { return w.wsNone })
 		wsP64 := avg(func(w mixWS) float64 { return w.wsP64 })
 
-		// Reassemble the marker draws: first SubarraysPerModule atoms are
-		// the retention sweep, the rest the ColumnDisturb sweep.
-		sort.Slice(markerParts, func(i, j int) bool { return markerParts[i].Start < markerParts[j].Start })
-		var markerVals []float64
-		for _, p := range markerParts {
-			markerVals = append(markerVals, p.Vals...)
-		}
+		// The first SubarraysPerModule marker draws are the retention
+		// sweep, the rest the ColumnDisturb sweep.
 		var retFrac, cdFrac float64
-		if len(markerVals) == 2*cfg.SubarraysPerModule {
-			retFrac = stats.Mean(markerVals[:cfg.SubarraysPerModule])
-			cdFrac = stats.Mean(markerVals[cfg.SubarraysPerModule:])
+		if vals := markers.Vals; len(vals) == 2*cfg.SubarraysPerModule {
+			retFrac = stats.Mean(vals[:cfg.SubarraysPerModule])
+			cdFrac = stats.Mean(vals[cfg.SubarraysPerModule:])
 		}
 
 		type point struct{ norm, benefit float64 }
@@ -331,7 +267,7 @@ func planFig23(cfg Config) (*Plan, error) {
 // (M8) weak-row proportion at the RAIDR strong-row retention time (1024 ms,
 // 65 °C). Draws below SubarraysPerModule sample the retention sweep, the
 // rest the worst-case ColumnDisturb sweep; each draw runs on its own keyed
-// stream (23, draw), so any sub-shard grouping samples identically.
+// stream (23, draw).
 func m8WeakFraction(cfg Config, draw int) float64 {
 	m, _ := chipdb.ByID("M8")
 	p := m.BuildParams()

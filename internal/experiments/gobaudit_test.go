@@ -55,13 +55,12 @@ func checkExportedFields(t *testing.T, id string, typ reflect.Type, seen map[ref
 
 // TestShardPartsGobEncodable is the registry-wide cache audit: every
 // experiment's every shard part must encode with the shard cache's gob
-// codec (i.e. its concrete type was registered at init), decode back, and
+// encoding (i.e. its concrete type was registered at init), decode back, and
 // merge into a byte-identical report. This is exactly the warm-cache and
 // remote-worker path — a plan whose parts fail here would compute fine
 // cold but corrupt or fail on every cache hit and every dispatched shard.
 func TestShardPartsGobEncodable(t *testing.T) {
 	cfg := auditConfig()
-	codec := cache.Gob{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -79,12 +78,12 @@ func TestShardPartsGobEncodable(t *testing.T) {
 				}
 				parts[i] = v
 				checkExportedFields(t, e.ID, reflect.TypeOf(v), seen)
-				data, err := codec.Encode(v)
+				data, err := cache.Encode(v)
 				if err != nil {
 					t.Fatalf("shard %q: part type %T not encodable (missing registerShardType?): %v",
 						sh.Label, v, err)
 				}
-				back, err := codec.Decode(data)
+				back, err := cache.Decode(data)
 				if err != nil {
 					t.Fatalf("shard %q: decode: %v", sh.Label, err)
 				}

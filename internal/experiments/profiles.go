@@ -140,17 +140,6 @@ var overrideFields = []overrideField{
 		intSetter(8, func(c *Config, v int) { c.CellRows = v })},
 	{"cell-cols", "columns in the cell-explicit experiments",
 		intSetter(8, func(c *Config, v int) { c.CellCols = v })},
-	{"max-shard-share", "max shard share of a plan's estimated cost, (0,1]; 1 disables splitting", func(c *Config, s string) error {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("not a number")
-		}
-		if v <= 0 || v > 1 {
-			return fmt.Errorf("must be in (0, 1]")
-		}
-		c.MaxShardShare = v
-		return nil
-	}},
 }
 
 // OverrideKeys lists every valid override key with its one-line doc, in

@@ -115,9 +115,12 @@ func TestResolveConfig(t *testing.T) {
 	if _, err := ResolveConfig("small", map[string]string{"bad": "1"}); err == nil {
 		t.Fatal("bad override accepted")
 	}
-	_, err = ResolveConfig("small", map[string]string{"retention-trials": "2"})
-	if err == nil || !strings.Contains(err.Error(), `unknown override "retention-trials"`) {
-		t.Fatalf("retention-trials override: %v, want unknown-key error", err)
+	// Retired keys are unknown, not silently ignored.
+	for _, key := range []string{"retention-trials", "max-shard-share"} {
+		_, err = ResolveConfig("small", map[string]string{key: "1"})
+		if err == nil || !strings.Contains(err.Error(), `unknown override "`+key+`"`) {
+			t.Fatalf("%s override: %v, want unknown-key error", key, err)
+		}
 	}
 	// Same resolution ⇒ same digest: the property remote/local cache
 	// sharing rests on.

@@ -52,9 +52,6 @@ func planPRVRSim(cfg Config) (*Plan, error) {
 		i, mix := i, mix
 		shards[i] = Shard{
 			Label: shardLabel("prvr-sim", "mix", fmt.Sprintf("%d", i)),
-			// len(mix) single-core solo runs plus three multi-core engine
-			// runs at the config's instruction scale.
-			Cost: float64(len(mix))*costMemsimRunMs(cfg, 1) + 3*costMemsimRunMs(cfg, len(mix)),
 			Run: func(context.Context) (any, error) {
 				solos := make([]float64, len(mix))
 				for j, w := range mix {

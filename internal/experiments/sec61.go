@@ -36,8 +36,6 @@ func planSec61(cfg Config) (*Plan, error) {
 	periodic := func(mechanism string, tREFIms float64, label string) Shard {
 		return Shard{
 			Label: shardLabel("sec61", "mechanism", mechanism),
-			// Closed-form pricing, no sampling: near-free.
-			Cost: costExpectedEvalMs,
 			Run: func(context.Context) (any, error) {
 				a, err := energy.AnalyzeRefresh(410, tREFIms, idd)
 				if err != nil {
@@ -56,7 +54,6 @@ func planSec61(cfg Config) (*Plan, error) {
 		periodic("periodic-8ms", 8, "periodic 8 ms (naive fix)"),
 		{
 			Label: shardLabel("sec61", "mechanism", "prvr"),
-			Cost:  costExpectedEvalMs,
 			Run: func(context.Context) (any, error) {
 				prvr, err := mitigate.AnalyzePRVR(mitigate.DefaultPRVRConfig(), idd)
 				if err != nil {

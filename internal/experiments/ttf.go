@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -86,38 +85,30 @@ func mfrTTFs(mfr chipdb.Manufacturer, setup core.PatternSetup, tempC float64,
 	return found, notFound
 }
 
-// ttfDistPart is one sub-shard of a (manufacturer, temperature) cell of
-// the TTF sweep: per-atom censored sample lists for a contiguous atom
-// range. An atom is a (module, 16-sample chunk) — module a/chunksPerModule,
-// chunk a%chunksPerModule — drawn on its own keyed stream, so sample counts
-// scale without any shard dominating the plan.
+// ttfDistPart is one (manufacturer, temperature) cell of the TTF sweep:
+// per-atom censored sample lists, in atom order. An atom is a (module,
+// 16-sample chunk) — module a/chunksPerModule, chunk a%chunksPerModule —
+// drawn on its own keyed stream.
 type ttfDistPart struct {
 	Mfr      chipdb.Manufacturer
 	TempC    float64
-	Start    int
-	Found    [][]float64 // per-atom found samples, atoms Start..Start+len-1
+	Found    [][]float64 // per-atom found samples
 	NotFound []int       // per-atom censored counts, aligned with Found
 }
 
-// ttfChunkSamples is the atom granularity of the TTF sweep: sample chunks
-// of this size get their own RNG streams and can land on any worker.
+// ttfChunkSamples is the RNG-stream granularity of the TTF sweep: each
+// chunk of this many samples draws from its own keyed stream.
 const ttfChunkSamples = 16
-
-// ttfChunksPerModule returns how many sample-chunk atoms one module
-// contributes.
-func ttfChunksPerModule(cfg Config) int {
-	return (cfg.TTFSamples + ttfChunkSamples - 1) / ttfChunkSamples
-}
 
 // planTTF shards the manufacturer-level time-to-first-bitflip sweep by
 // (manufacturer × temperature) — the chip/config groups of the §5
-// methodology — splitting each cell by (module, sample-chunk) atoms on
+// methodology — sampling each cell in (module, sample-chunk) atoms on
 // stream 24. The cross-temperature acceleration notes are computed in the
 // merge step.
 func planTTF(cfg Config) (*Plan, error) {
 	setup := worstCaseSetup()
 	mfrs := chipdb.Manufacturers()
-	chunks := ttfChunksPerModule(cfg)
+	chunks := (cfg.TTFSamples + ttfChunkSamples - 1) / ttfChunkSamples
 	atomSamples := func(chunk int) int {
 		n := cfg.TTFSamples - chunk*ttfChunkSamples
 		if n > ttfChunkSamples {
@@ -125,45 +116,26 @@ func planTTF(cfg Config) (*Plan, error) {
 		}
 		return n
 	}
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(ttfTempsC)) * float64(len(chipdb.ByManufacturer(mfr))) *
-			float64(cfg.TTFSamples) * costTTFSampleMs
-	}
-	budget := cfg.splitBudget(total)
 	var shards []Shard
 	for mi, mfr := range mfrs {
 		mods := chipdb.ByManufacturer(mfr)
-		nAtoms := len(mods) * chunks
-		costs := make([]float64, nAtoms)
-		for a := range costs {
-			costs[a] = float64(atomSamples(a%chunks)) * costTTFSampleMs
-		}
 		for ti, tempC := range ttfTempsC {
 			mi, ti, mfr, tempC := mi, ti, mfr, tempC
-			for _, ar := range packAtoms(costs, budget) {
-				ar := ar
-				kv := []string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tempC)}
-				if !ar.covers(nAtoms) {
-					kv = append(kv, "chunks", ar.kv())
-				}
-				shards = append(shards, Shard{
-					Label: shardLabel("ttf", kv...),
-					Cost:  sumRange(costs, ar),
-					Run: func(context.Context) (any, error) {
-						part := ttfDistPart{Mfr: mfr, TempC: tempC, Start: ar.Start}
-						for a := ar.Start; a < ar.End; a++ {
-							mIdx, chunk := a/chunks, a%chunks
+			shards = append(shards, Shard{
+				Label: shardLabel("ttf", "mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tempC)),
+				Run: func(context.Context) (any, error) {
+					part := ttfDistPart{Mfr: mfr, TempC: tempC}
+					for mIdx, m := range mods {
+						for chunk := 0; chunk < chunks; chunk++ {
 							r := cfg.shardRand(24, uint64(mi), uint64(ti), uint64(mIdx), uint64(chunk))
-							f, nf := sampleModuleTTFs(mods[mIdx], setup, tempC, ttfCeilingMs,
-								atomSamples(chunk), r)
+							f, nf := sampleModuleTTFs(m, setup, tempC, ttfCeilingMs, atomSamples(chunk), r)
 							part.Found = append(part.Found, f)
 							part.NotFound = append(part.NotFound, nf)
 						}
-						return part, nil
-					},
-				})
-			}
+					}
+					return part, nil
+				},
+			})
 		}
 	}
 	merge := func(parts []any) (*Result, error) {
@@ -176,31 +148,27 @@ func planTTF(cfg Config) (*Plan, error) {
 			Mfr   chipdb.Manufacturer
 			TempC float64
 		}
-		grouped := map[cellKey][]ttfDistPart{}
+		cells := make(map[cellKey]ttfDistPart, len(parts))
 		for _, raw := range parts {
 			part, ok := raw.(ttfDistPart)
 			if !ok {
 				return nil, fmt.Errorf("ttf: part has type %T, want ttfDistPart", raw)
 			}
-			k := cellKey{part.Mfr, part.TempC}
-			grouped[k] = append(grouped[k], part)
+			cells[cellKey{part.Mfr, part.TempC}] = part
 		}
 		medians := map[chipdb.Manufacturer]map[float64]float64{}
 		minAt85 := 0.0
 		for _, mfr := range mfrs {
 			medians[mfr] = map[float64]float64{}
 			for _, tempC := range ttfTempsC {
-				cellParts := grouped[cellKey{mfr, tempC}]
-				sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
+				cell := cells[cellKey{mfr, tempC}]
 				var found []float64
 				notFound := 0
-				for _, p := range cellParts {
-					for _, f := range p.Found {
-						found = append(found, f...)
-					}
-					for _, nf := range p.NotFound {
-						notFound += nf
-					}
+				for _, f := range cell.Found {
+					found = append(found, f...)
+				}
+				for _, nf := range cell.NotFound {
+					notFound += nf
 				}
 				if len(found) == 0 {
 					res.AddRow(string(mfr), fmt.Sprintf("%.0f", tempC),

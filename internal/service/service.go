@@ -85,17 +85,11 @@ type Options struct {
 	// below the batch size could retire a finished job's report before its
 	// own client reads it).
 	RetainJobs int
-	// Cache, when non-nil, enables shard-result caching. *cache.Store is
-	// the in-process implementation; the interface seam exists so replicas
-	// can later share one content-addressed backend.
-	Cache cache.Backend
-	// Codec encodes shard results for the cache (nil selects cache.Gob).
-	// With a Dispatcher it MUST be cache.Gob (or nil): worker replies
-	// travel in the wire gob encoding and are stored in the cache
-	// verbatim, so a different server-side codec could neither decode them
-	// nor share entries with locally computed shards (New panics on the
-	// combination).
-	Codec cache.Codec
+	// Cache, when non-nil, enables shard-result caching. Entries hold
+	// cache.Encode bytes, the same encoding worker replies travel in, so
+	// remote replies are stored verbatim and share entries with locally
+	// computed shards.
+	Cache *cache.Store
 	// Journal, when non-nil, gives the service a write-ahead log: Submit
 	// acknowledges only after the job is durable, computed shards and
 	// settles are journaled, and Recover rebuilds the job table after a
@@ -130,7 +124,6 @@ type coalesceKey struct {
 type Service struct {
 	opts    Options
 	backend engine.Backend
-	codec   cache.Codec
 	log     *slog.Logger
 	journal *Journal
 
@@ -167,18 +160,8 @@ type Service struct {
 // to suspend for a journal-backed restart). When the service was built
 // from a replayed journal, call Recover before accepting submissions.
 func New(opts Options) *Service {
-	codec := opts.Codec
-	if codec == nil {
-		codec = cache.Gob{}
-	}
 	var backend engine.Backend
 	if opts.Dispatcher != nil {
-		if _, ok := codec.(cache.Gob); !ok {
-			// Programmer error, caught at construction: remote workers
-			// always reply in the wire gob encoding (dispatch.ExecuteTask),
-			// which a foreign codec could not decode or cache-share.
-			panic("service: a Dispatcher requires the cache.Gob codec")
-		}
 		backend = opts.Dispatcher
 	} else {
 		backend = engine.NewPool(opts.Workers)
@@ -195,7 +178,6 @@ func New(opts Options) *Service {
 	s := &Service{
 		opts:       opts,
 		backend:    backend,
-		codec:      codec,
 		log:        log,
 		journal:    opts.Journal,
 		metrics:    reg,
@@ -240,11 +222,9 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 		"The shard backend's local parallelism bound.", func() float64 {
 			return float64(s.backend.Workers())
 		})
-	if busy, ok := s.backend.(interface{ Busy() int }); ok {
-		reg.GaugeFunc("cdlab_backend_busy",
-			"Shards currently executing on the backend (local executors plus remote leases).",
-			func() float64 { return float64(busy.Busy()) })
-	}
+	reg.GaugeFunc("cdlab_backend_busy",
+		"Shards currently executing on the backend (local executors plus remote leases).",
+		func() float64 { return float64(s.backend.Busy()) })
 	if jn := s.journal; jn != nil {
 		reg.CounterFunc("cdlab_wal_records_total",
 			"Journal records appended since this process opened the WAL.", func() float64 {
@@ -1035,23 +1015,23 @@ func (s *Service) runFlight(f *flight) {
 		return
 	}
 
-	shards, merge, err := experiments.BuildShards(e, cfg)
+	plan, err := e.Plan(cfg)
 	if err != nil {
 		f.finish(nil, err)
 		return
 	}
-	f.setShards(len(shards))
+	f.setShards(len(plan.Shards))
 
-	wrapped := make([]engine.Shard, len(shards))
-	for i, sh := range shards {
-		wrapped[i] = s.wrapShard(f, i, len(shards), sh)
+	wrapped := make([]engine.Shard, len(plan.Shards))
+	for i, sh := range plan.Shards {
+		wrapped[i] = s.wrapShard(f, i, len(plan.Shards), sh)
 	}
 	parts, err := s.backend.Run(f.ctx, wrapped, engine.Options{Recovered: f.recovered})
 	if err != nil {
 		f.finish(nil, fmt.Errorf("service: %s: %w", f.spec.Experiment, err))
 		return
 	}
-	res, err := safeMerge(f.spec.Experiment, merge, parts)
+	res, err := safeMerge(f.spec.Experiment, plan.Merge, parts)
 	f.finish(res, err)
 }
 
@@ -1101,7 +1081,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 			return nil, false
 		}
 		if data, ok := s.opts.Cache.Get(key); ok {
-			if v, err := s.codec.Decode(data); err == nil {
+			if v, err := cache.Decode(data); err == nil {
 				return v, true
 			}
 			// Undecodable entry (e.g. the part type changed): treat as a
@@ -1111,10 +1091,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 	}
 	wrapped := engine.Shard{
 		Label: label,
-		// The plan's static estimate. Cost is a hint to cost-aware
-		// backends only; it never reaches the result or its digest.
-		Cost: sh.Cost,
-		Span: span,
+		Span:  span,
 		Run: func(ctx context.Context) (any, error) {
 			if v, ok := probe(); ok {
 				span.Complete("", true)
@@ -1132,7 +1109,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 			}
 			elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)
 			if useCache {
-				if data, err := s.codec.Encode(v); err == nil {
+				if data, err := cache.Encode(v); err == nil {
 					// Spill failures only cost future hits.
 					_ = s.opts.Cache.Put(key, data)
 				}
@@ -1164,7 +1141,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 			return v, ok
 		},
 		Accept: func(from string, elapsed time.Duration, reply []byte) (any, error) {
-			v, err := s.codec.Decode(reply)
+			v, err := cache.Decode(reply)
 			if err != nil {
 				span.Complete(from, false)
 				return nil, fmt.Errorf("service: %s: decode worker reply: %w", label, err)
@@ -1173,7 +1150,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 			// and worker-side queueing.
 			elapsedMs := float64(elapsed) / float64(time.Millisecond)
 			if useCache {
-				// The reply IS the codec's encoding — store it verbatim,
+				// The reply IS the cache encoding — store it verbatim,
 				// so local and remote fills are byte-identical entries.
 				_ = s.opts.Cache.Put(key, reply)
 			}

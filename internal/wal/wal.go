@@ -75,9 +75,6 @@ type Options struct {
 	// size (<= 0 selects 4 MiB). Rotation is a durability barrier: the
 	// finished segment is flushed and fsynced before the next one opens.
 	MaxSegmentBytes int64
-	// NoSync skips fsync (tests on slow filesystems). The group-commit
-	// bookkeeping still runs; only the physical barrier is elided.
-	NoSync bool
 }
 
 // Record is one journaled entry: an application-defined type tag and an
@@ -346,10 +343,7 @@ func (l *Log) syncLocked() error {
 		mark := l.appended // everything up to here is now in the OS buffer
 		f := l.f
 		l.mu.Unlock()
-		var serr error
-		if !l.opts.NoSync {
-			serr = f.Sync()
-		}
+		serr := f.Sync()
 		l.mu.Lock()
 		l.syncing = false
 		l.stats.Syncs++
@@ -383,11 +377,9 @@ func (l *Log) rotateLocked() error {
 		l.err = err
 		return err
 	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			l.err = err
-			return err
-		}
+	if err := l.f.Sync(); err != nil {
+		l.err = err
+		return err
 	}
 	l.stats.Syncs++
 	l.synced = l.appended

@@ -58,7 +58,7 @@ var required = []string{
 // subsets of RunAll and would double CI's bench wall time).
 const benchRegexp = "^Benchmark(RunAll|Engine|DeviceReadRow|Hammer512ms|" +
 	"StatisticalSubarray|TTFSample|SECDecode|Memsim|RowCloneScan|" +
-	"ShardSplitPlan|DiffReadsFiltered|CouplingEval)"
+	"DiffReadsFiltered|CouplingEval)"
 
 // resultLine matches `go test -bench` output such as
 // "BenchmarkRunAllSerial-8   1   123456789 ns/op".
